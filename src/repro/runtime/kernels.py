@@ -22,11 +22,15 @@ formulations on the conv hot path:
   and the guarded reduction width keeps every partial sum far below
   ``2**53``, so a float64 GEMM computes the *exact* integer accumulator
   regardless of summation order — which makes it bitwise-safe to run the
-  quantized matmuls through BLAS dgemm (numpy's integer matmul has no
-  BLAS path) and to tile them over L2-sized column panels
-  (``QGEMM_PANEL_BYTES``).  Reductions wider than
+  quantized matmuls through BLAS (numpy's integer matmul has no BLAS
+  path) and to tile them over L2-sized column panels
+  (``QGEMM_PANEL_BYTES``).  The same argument holds in float32 for a
+  layer whose weights satisfy ``255 * max_row sum|w| < 2**24``
+  (``EXACT_F32_BOUND``): the prepacker proves that per layer and stores
+  the pack as float32, and the kernels compute in whatever dtype the
+  pack carries (sgemm, half the gather traffic).  Reductions wider than
   ``EXACT_GEMM_MAX_REDUCE`` fall back to the int32 reference path, whose
-  wrap-on-overflow semantics float64 would not reproduce.
+  wrap-on-overflow semantics a float GEMM would not reproduce.
 
 Split-K (splitting the *reduction* axis of a float GEMM) remains
 forbidden everywhere: it reassociates floating-point accumulation and is
@@ -77,7 +81,14 @@ def _pair(value) -> Tuple[int, int]:
 # quantized.ZERO_POINT_ROW_TERM_MAX_REDUCE.
 EXACT_GEMM_MAX_REDUCE = 1 << 16
 
-# Target panel size (bytes of f64 accumulator columns) for the
+# A quantized GEMM is exact in float32 when every partial sum, in any BLAS
+# blocking or FMA grouping, is an integer below 2**24.  The activation
+# operand is q - z in [-255, 255] (or a raw code, smaller still), so any
+# partial sum of one output is bounded by 255 * sum|w| over that output's
+# weight row; the prepacker checks the widest row against this bound.
+EXACT_F32_BOUND = 1 << 24
+
+# Target panel size (bytes of accumulator columns) for the
 # cache-blocked quantized GEMMs.  512 KiB keeps one panel of columns plus
 # the weight pack stripe resident in a typical 1 MiB L2.
 QGEMM_PANEL_BYTES = 1 << 19
@@ -121,7 +132,8 @@ def set_exact_qgemm(enabled: bool) -> bool:
 
 
 class Workspace:
-    """Reusable scratch buffers keyed by (tag, shape, dtype).
+    """Reusable scratch buffers keyed by (tag, shape, dtype), plus
+    per-tag :meth:`transient` byte pools for stateless scratch.
 
     A kernel asks for the same scratch shape on every call, so each key
     allocates exactly once and is then recycled for the lifetime of the
@@ -175,6 +187,29 @@ class Workspace:
             self.hits += 1
         return buf
 
+    def transient(self, shape, dtype, tag: str) -> np.ndarray:
+        """Scratch that is dead when the kernel returns: a view over one
+        byte pool per tag, grown to the largest request and shared by
+        every shape and dtype that asks.  Unlike :meth:`get` buffers the
+        content never survives a call, so a plan's layers all reuse the
+        same (cache-warm) bytes and resident scratch is the widest
+        layer's, not the sum over layers."""
+        dtype = np.dtype(dtype)
+        shape = tuple(int(d) for d in shape)
+        nbytes = dtype.itemsize
+        for dim in shape:
+            nbytes *= dim
+        key = ("transient", tag)
+        pool = self._buffers.get(key)
+        if pool is None or pool.nbytes < nbytes:
+            pool = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
+            self.allocations += 1
+            self.allocated_bytes += nbytes
+            self.peak_bytes = max(self.peak_bytes, self.nbytes())
+        else:
+            self.hits += 1
+        return pool[:nbytes].view(dtype).reshape(shape)
+
     def nbytes(self) -> int:
         return sum(buf.nbytes for buf in self._buffers.values())
 
@@ -182,15 +217,34 @@ class Workspace:
         self._buffers.clear()
 
 
+def scratch(workspace: Optional[Workspace], shape, dtype,
+            tag: str) -> np.ndarray:
+    """An uninitialized buffer the kernel fully rewrites and is done with
+    when it returns: ``workspace`` transient scratch when there is one,
+    fresh otherwise (the allocating reference form)."""
+    if workspace is not None:
+        return workspace.transient(shape, dtype, tag)
+    return np.empty(tuple(shape), dtype=dtype)
+
+
+def _spatial(axes: Tuple[int, int], ys, xs) -> tuple:
+    """Index of a rank-4 array taking ``ys``/``xs`` on its two spatial
+    ``axes`` — (2, 3) for NCHW, (1, 2) for NHWC — and everything else."""
+    index = [slice(None)] * 4
+    index[axes[0]], index[axes[1]] = ys, xs
+    return tuple(index)
+
+
 def _pad_into(buffer: np.ndarray, data: np.ndarray, ph: int, pw: int,
-              value: float) -> np.ndarray:
+              value: float, axes: Tuple[int, int] = (2, 3)) -> np.ndarray:
     """Fill ``buffer`` with ``data`` surrounded by a constant border."""
-    h, w = data.shape[2], data.shape[3]
-    buffer[:, :, :ph, :] = value
-    buffer[:, :, ph + h:, :] = value
-    buffer[:, :, :, :pw] = value
-    buffer[:, :, :, pw + w:] = value
-    buffer[:, :, ph:ph + h, pw:pw + w] = data
+    h, w = data.shape[axes[0]], data.shape[axes[1]]
+    rest = slice(None)
+    buffer[_spatial(axes, slice(0, ph), rest)] = value
+    buffer[_spatial(axes, slice(ph + h, None), rest)] = value
+    buffer[_spatial(axes, rest, slice(0, pw))] = value
+    buffer[_spatial(axes, rest, slice(pw + w, None))] = value
+    buffer[_spatial(axes, slice(ph, ph + h), slice(pw, pw + w))] = data
     return buffer
 
 
@@ -483,20 +537,25 @@ def dense(data: np.ndarray, weight: np.ndarray, bias=None,
 # The quantized matmuls accumulate integers, and integer accumulation is
 # exact under any grouping — so unlike the float GEMMs these may be
 # tiled into cache-sized panels and still produce bit-identical int32
-# accumulators.  Running them as float64 BLAS GEMMs is what makes them
-# fast: numpy's integer matmul has no BLAS path.  Exactness holds
+# accumulators.  Running them as BLAS GEMMs is what makes them fast:
+# numpy's integer matmul has no BLAS path.  Exactness holds in float64
 # because every product is an integer of magnitude <= 255 * 128 and the
 # reduction width is capped at EXACT_GEMM_MAX_REDUCE, keeping all
-# partial sums far below 2**53.
+# partial sums far below 2**53 — and in float32 for the layers whose
+# pack the prepacker proved under EXACT_F32_BOUND.  The kernels take the
+# compute dtype from the weight pack: shifted input, columns, panels and
+# accumulator all live in it.
 
 
-def qconv2d_acc(q_data: np.ndarray, w2_f64: np.ndarray, kernel, stride,
+def qconv2d_acc(q_data: np.ndarray, w2: np.ndarray, kernel, stride,
                 padding, input_zero: int = 0,
                 workspace: Optional[Workspace] = None) -> np.ndarray:
-    """Exact conv accumulator (N, out_c, oh, ow) float64 via blocked dgemm.
+    """Exact conv accumulator (N, out_c, oh, ow) via blocked BLAS GEMM.
 
-    ``q_data`` is the raw int8/uint8 NCHW activation; ``w2_f64`` the
-    prepacked (out_c, C*kh*kw) float64 weight matrix (integer-valued).
+    ``q_data`` is the raw int8/uint8 NCHW activation; ``w2`` the
+    prepacked (out_c, C*kh*kw) integer-valued weight matrix, float64 or
+    — under the prepacker's exactness proof — float32; the accumulator
+    comes back in the same dtype.
     With ``input_zero`` the zero point is subtracted *before* the gather,
     so zero padding enters the columns as shifted-domain zeros — exactly
     the reference path's subtract-then-pad semantics.  With
@@ -516,78 +575,66 @@ def qconv2d_acc(q_data: np.ndarray, w2_f64: np.ndarray, kernel, stride,
     ph, pw = padding
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
-    out_c = w2_f64.shape[0]
+    out_c = w2.shape[0]
     k = c * kh * kw
+    compute = w2.dtype
     padded = bool(ph or pw)
     if input_zero:
-        if workspace is not None:
-            src = workspace.get(q_data.shape, np.float64, "qshift")
-        else:
-            src = np.empty(q_data.shape, dtype=np.float64)
-        np.subtract(q_data, float(input_zero), out=src, dtype=np.float64)
+        src = scratch(workspace, q_data.shape, compute, "qshift")
+        np.subtract(q_data, float(input_zero), out=src, dtype=compute)
     else:
         src = q_data
-    if workspace is not None:
-        acc = workspace.get((n, out_c, oh, ow), np.float64, "qacc")
-    else:
-        acc = np.empty((n, out_c, oh, ow), dtype=np.float64)
+    acc = scratch(workspace, (n, out_c, oh, ow), compute, "qacc")
     acc3 = acc.reshape(n, out_c, oh * ow)
-    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES // max(1, k * ow * 8)))
+    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES
+                            // max(1, k * ow * compute.itemsize)))
     if panel_rows >= oh:
         cols = _implicit_cols(src, kernel, stride, padding, oh, ow,
-                              np.float64, workspace)
-        np.matmul(w2_f64, cols, out=acc3)
+                              compute, workspace)
+        np.matmul(w2, cols, out=acc3)
         return acc
     for r0 in range(0, oh, panel_rows):
         rows = min(panel_rows, oh - r0)
         m = rows * ow
-        if workspace is not None:
-            cbuf = workspace.get((n, c, kh, kw, rows, ow), np.float64,
-                                 "qcols")
-            pbuf = workspace.get((n, out_c, m), np.float64, "qpanel")
-        else:
-            cbuf = np.empty((n, c, kh, kw, rows, ow), dtype=np.float64)
-            pbuf = np.empty((n, out_c, m), dtype=np.float64)
+        cbuf = scratch(workspace, (n, c, kh, kw, rows, ow), compute, "qcols")
+        pbuf = scratch(workspace, (n, out_c, m), compute, "qpanel")
         if padded:
             cbuf.fill(0)
         _gather_cols(src, cbuf, kernel, stride, padding, row_offset=r0)
-        np.matmul(w2_f64, cbuf.reshape(n, k, m), out=pbuf)
+        np.matmul(w2, cbuf.reshape(n, k, m), out=pbuf)
         acc3[:, :, r0 * ow:r0 * ow + m] = pbuf
     return acc
 
 
-def qdense_acc(q_data: np.ndarray, wt_f64: np.ndarray, input_zero: int = 0,
+def qdense_acc(q_data: np.ndarray, wt: np.ndarray, input_zero: int = 0,
                workspace: Optional[Workspace] = None) -> np.ndarray:
-    """Exact dense accumulator (..., out) float64: (q - z) @ wt_f64.
+    """Exact dense accumulator (..., out): ``(q - z) @ wt``.
 
-    ``wt_f64`` is the prepacked (in, out) float64 transposed weight.  The
-    GEMM is tiled over output-column panels; integer-exact, so blocking
-    never changes a bit of the accumulator.
+    ``wt`` is the prepacked (in, out) transposed weight, float64 or
+    proven-exact float32 (the accumulator takes its dtype).  The GEMM is
+    tiled over output-column panels; integer-exact, so blocking never
+    changes a bit of the accumulator.
     """
     in_dim = q_data.shape[-1]
-    out_dim = wt_f64.shape[1]
-    if workspace is not None:
-        a = workspace.get(q_data.shape, np.float64, "qdense_in")
-    else:
-        a = np.empty(q_data.shape, dtype=np.float64)
-    np.subtract(q_data, float(input_zero), out=a, dtype=np.float64)
-    acc_shape = q_data.shape[:-1] + (out_dim,)
-    if workspace is not None:
-        acc = workspace.get(acc_shape, np.float64, "qdense_acc")
-    else:
-        acc = np.empty(acc_shape, dtype=np.float64)
+    out_dim = wt.shape[1]
+    compute = wt.dtype
+    a = scratch(workspace, q_data.shape, compute, "qdense_in")
+    np.subtract(q_data, float(input_zero), out=a, dtype=compute)
+    acc = scratch(workspace, q_data.shape[:-1] + (out_dim,), compute,
+                  "qdense_acc")
     m = 1
     for dim in q_data.shape[:-1]:
         m *= int(dim)
     a2 = a.reshape(m, in_dim)
     acc2 = acc.reshape(m, out_dim)
-    panel_cols = max(1, min(out_dim, QGEMM_PANEL_BYTES // max(1, m * 8)))
+    panel_cols = max(1, min(out_dim, QGEMM_PANEL_BYTES
+                            // max(1, m * compute.itemsize)))
     if panel_cols >= out_dim:
-        np.matmul(a2, wt_f64, out=acc2)
+        np.matmul(a2, wt, out=acc2)
         return acc
     for c0 in range(0, out_dim, panel_cols):
         c1 = min(out_dim, c0 + panel_cols)
-        np.matmul(a2, wt_f64[:, c0:c1], out=acc2[:, c0:c1])
+        np.matmul(a2, wt[:, c0:c1], out=acc2[:, c0:c1])
     return acc
 
 
@@ -625,14 +672,14 @@ def _gather_cols_nhwc(data: np.ndarray, cols6: np.ndarray, kernel, stride,
                      x0:x0 + (xcnt - 1) * sw + 1:sw, :]
 
 
-def qconv2d_acc_nhwc(q_data: np.ndarray, w_f64: np.ndarray, kernel, stride,
+def qconv2d_acc_nhwc(q_data: np.ndarray, w_pack: np.ndarray, kernel, stride,
                      padding, input_zero: int = 0,
                      workspace: Optional[Workspace] = None) -> np.ndarray:
-    """Exact NHWC conv accumulator (N, oh, ow, out_c) float64.
+    """Exact NHWC conv accumulator (N, oh, ow, out_c).
 
-    ``q_data`` is NHWC int8/uint8; ``w_f64`` the (kh*kw*C, out_c) float64
-    weight pack whose rows follow the NHWC gather order.  Same zero-point
-    and panel-blocking contract as :func:`qconv2d_acc`.
+    ``q_data`` is NHWC int8/uint8; ``w_pack`` the (kh*kw*C, out_c) weight
+    pack whose rows follow the NHWC gather order.  Same zero-point,
+    compute-dtype and panel-blocking contract as :func:`qconv2d_acc`.
     """
     kernel = _pair(kernel)
     stride = _pair(stride)
@@ -643,52 +690,55 @@ def qconv2d_acc_nhwc(q_data: np.ndarray, w_f64: np.ndarray, kernel, stride,
     ph, pw = padding
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
-    out_c = w_f64.shape[1]
+    out_c = w_pack.shape[1]
     k = kh * kw * c
+    compute = w_pack.dtype
     padded = bool(ph or pw)
     if input_zero:
-        if workspace is not None:
-            src = workspace.get(q_data.shape, np.float64, "qshift_nhwc")
-        else:
-            src = np.empty(q_data.shape, dtype=np.float64)
-        np.subtract(q_data, float(input_zero), out=src, dtype=np.float64)
+        src = scratch(workspace, q_data.shape, compute, "qshift_nhwc")
+        np.subtract(q_data, float(input_zero), out=src, dtype=compute)
     else:
         src = q_data
-    if workspace is not None:
-        acc = workspace.get((n, oh, ow, out_c), np.float64, "qacc_nhwc")
-    else:
-        acc = np.empty((n, oh, ow, out_c), dtype=np.float64)
-    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES // max(1, k * ow * 8)))
+    acc = scratch(workspace, (n, oh, ow, out_c), compute, "qacc_nhwc")
+    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES
+                            // max(1, k * ow * compute.itemsize)))
     if panel_rows >= oh:
         shape6 = (n, oh, ow, kh, kw, c)
         if workspace is not None:
             tag = f"qcols_nhwc:{h}x{w}:k{kh}x{kw}:s{sh}x{sw}:p{ph}x{pw}"
             init = (lambda buf: buf.fill(0)) if padded else None
-            cols = workspace.get(shape6, np.float64, tag, init=init)
+            cols = workspace.get(shape6, compute, tag, init=init)
         elif padded:
-            cols = np.zeros(shape6, dtype=np.float64)
+            cols = np.zeros(shape6, dtype=compute)
         else:
-            cols = np.empty(shape6, dtype=np.float64)
+            cols = np.empty(shape6, dtype=compute)
         _gather_cols_nhwc(src, cols, kernel, stride, padding)
-        np.matmul(cols.reshape(n, oh * ow, k), w_f64,
+        np.matmul(cols.reshape(n, oh * ow, k), w_pack,
                   out=acc.reshape(n, oh * ow, out_c))
         return acc
     for r0 in range(0, oh, panel_rows):
         rows = min(panel_rows, oh - r0)
         m = rows * ow
-        if workspace is not None:
-            cbuf = workspace.get((n, rows, ow, kh, kw, c), np.float64,
-                                 "qcols_nhwc_panel")
-            pbuf = workspace.get((n, m, out_c), np.float64, "qpanel_nhwc")
-        else:
-            cbuf = np.empty((n, rows, ow, kh, kw, c), dtype=np.float64)
-            pbuf = np.empty((n, m, out_c), dtype=np.float64)
+        cbuf = scratch(workspace, (n, rows, ow, kh, kw, c), compute,
+                       "qcols_nhwc_panel")
+        pbuf = scratch(workspace, (n, m, out_c), compute, "qpanel_nhwc")
         if padded:
             cbuf.fill(0)
         _gather_cols_nhwc(src, cbuf, kernel, stride, padding, row_offset=r0)
-        np.matmul(cbuf.reshape(n, m, k), w_f64, out=pbuf)
+        np.matmul(cbuf.reshape(n, m, k), w_pack, out=pbuf)
         acc[:, r0:r0 + rows] = pbuf.reshape(n, rows, ow, out_c)
     return acc
+
+
+def batchnorm_affine(gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+                     var: np.ndarray, epsilon: float
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(scale, shift)`` with ``batchnorm(x) = x * scale +
+    shift``.  The one place the expressions live: the prepacker hoists
+    them for constant parameters and must produce the kernel's bits."""
+    scale = gamma / np.sqrt(var + epsilon)
+    shift = beta - mean * gamma / np.sqrt(var + epsilon)
+    return scale, shift
 
 
 def batchnorm(data: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -698,8 +748,8 @@ def batchnorm(data: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     """Inference-mode batch normalization over the channel axis (axis 1)."""
     shape = [1] * data.ndim
     shape[1] = -1
-    scale = (gamma / np.sqrt(var + epsilon)).reshape(shape)
-    shift = (beta - mean * gamma / np.sqrt(var + epsilon)).reshape(shape)
+    scale, shift = batchnorm_affine(gamma, beta, mean, var, epsilon)
+    scale, shift = scale.reshape(shape), shift.reshape(shape)
     if out is None:
         return data * scale + shift
     np.multiply(data, scale, out=out)
@@ -767,9 +817,9 @@ ACTIVATIONS = {
     "identity": lambda x: x,
 }
 
-# Activations apply_activation_inplace can rewrite in place without
+# Activations apply_activation can write into a caller's buffer without
 # changing a single output bit relative to the ACTIVATIONS entry.
-INPLACE_ACTIVATIONS = frozenset({
+BUFFERED_ACTIVATIONS = frozenset({
     "identity", "relu", "relu6", "tanh", "leaky_relu",
     "hardsigmoid", "hardswish",
 })
@@ -786,104 +836,132 @@ def resolve_activation(name, alpha=None):
     if name is None:
         return None
     if name == "leaky_relu":
-        slope = 0.1 if alpha is None else float(alpha)
+        slope = _leaky_slope(alpha)
         return lambda x: leaky_relu(x, alpha=slope)
     return ACTIVATIONS[name]
 
 
-def apply_activation_inplace(name, x: np.ndarray,
-                             workspace: Optional[Workspace] = None,
-                             alpha=None) -> bool:
-    """Apply an activation to ``x`` in place; return False if unsupported.
+def _leaky_slope(alpha) -> float:
+    return 0.1 if alpha is None else float(alpha)
 
-    Every supported rewrite performs exactly the operations of the
-    allocating form, so the values written are bitwise-identical — the
-    invariant the zoo equivalence suite asserts.  ``leaky_relu`` and
-    ``hardswish`` need workspace scratch and report unsupported without it.
+
+def _two_pass_slope(alpha) -> bool:
+    """Whether ``max(slope * x, x)`` equals ``leaky_relu``: only for a
+    slope in (0, 1], where ``slope * x >= x`` exactly when ``x <= 0``
+    (a zero slope would turn ``+inf`` into ``0 * inf = NaN``)."""
+    return 0.0 < _leaky_slope(alpha) <= 1.0
+
+
+def apply_activation(name, x: np.ndarray, out: np.ndarray,
+                     workspace: Optional[Workspace] = None,
+                     alpha=None) -> bool:
+    """Write ``activation(x)`` into ``out``; return False if unsupported.
+
+    Every supported form runs the ufuncs of the allocating form with
+    ``out`` as destination — no copy pass first — so the values written
+    are bitwise-identical to the ACTIVATIONS entry, the invariant the zoo
+    equivalence suite asserts.  ``out`` may be ``x`` itself (in place)
+    except for ``leaky_relu``, whose second pass re-reads ``x``.
     """
-    if name not in INPLACE_ACTIVATIONS:
-        return False
     if name == "identity":
-        return True
-    if name == "relu":
-        np.maximum(x, 0, out=x)
-        return True
-    if name == "relu6":
-        np.clip(x, 0, 6, out=x)
-        return True
-    if name == "tanh":
-        np.tanh(x, out=x)
-        return True
-    if name == "hardsigmoid":
-        x /= 6.0
-        x += 0.5
-        np.clip(x, 0.0, 1.0, out=x)
-        return True
-    if workspace is None:
+        if out is not x:
+            np.copyto(out, x)
+    elif name == "relu":
+        np.maximum(x, 0, out=out)
+    elif name == "relu6":
+        np.clip(x, 0, 6, out=out)
+    elif name == "tanh":
+        np.tanh(x, out=out)
+    elif name == "hardsigmoid":
+        np.divide(x, 6.0, out=out)
+        out += 0.5
+        np.clip(out, 0.0, 1.0, out=out)
+    elif name == "hardswish":
+        gate = scratch(workspace, x.shape, x.dtype, "act_gate")
+        apply_activation("hardsigmoid", x, gate)
+        np.multiply(x, gate, out=out)
+    elif name == "leaky_relu" and out is not x and _two_pass_slope(alpha):
+        # max(slope * x, x) picks slope * x exactly where x < 0 (and is
+        # x twice over at +-0 and NaN): np.where's bits in two passes.
+        np.multiply(x, _leaky_slope(alpha), out=out)
+        np.maximum(out, x, out=out)
+    else:
         return False
-    if name == "leaky_relu":
-        slope = 0.1 if alpha is None else float(alpha)
-        scaled = workspace.get(x.shape, x.dtype, "act_scaled")
-        np.multiply(x, slope, out=scaled)
-        mask = workspace.get(x.shape, np.bool_, "act_mask")
-        np.less(x, 0, out=mask)
-        np.copyto(x, scaled, where=mask)
-        return True
-    # hardswish: x * hardsigmoid(x) with the gate built in scratch.
-    gate = workspace.get(x.shape, x.dtype, "act_gate")
-    np.copyto(gate, x)
-    gate /= 6.0
-    gate += 0.5
-    np.clip(gate, 0.0, 1.0, out=gate)
-    np.multiply(x, gate, out=x)
     return True
+
+
+def activation_twin(name, buf: np.ndarray, workspace: Optional[Workspace],
+                    tag: str) -> np.ndarray:
+    """The second buffer of an ``apply_activation`` call whose caller owns
+    ``buf``: ``buf`` itself (in place) for every activation that may
+    alias, transient scratch of the same shape for ``leaky_relu``."""
+    if name == "leaky_relu":
+        return scratch(workspace, buf.shape, buf.dtype, tag)
+    return buf
 
 
 # -- pooling ------------------------------------------------------------------
 
-def _pool2d(data: np.ndarray, kernel, stride, padding, reducer,
-            pad_value: float, out: Optional[np.ndarray] = None,
-            workspace: Optional[Workspace] = None) -> np.ndarray:
-    kernel = _pair(kernel)
-    stride = _pair(stride)
-    padding = _pair(padding)
-    n, c, h, w = data.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
+def _pool2d(data: np.ndarray, kernel, stride, padding, take_max: bool,
+            out: Optional[np.ndarray] = None,
+            workspace: Optional[Workspace] = None,
+            axes: Tuple[int, int] = (2, 3)) -> np.ndarray:
+    """Pool over the two spatial ``axes``: (2, 3) NCHW, (1, 2) NHWC.
+
+    Max pooling is a left fold over the ``kh * kw`` strided views of the
+    input, in ``i * kw + j`` offset order, straight into ``out``: one
+    ``np.maximum`` pass per offset and no window buffer.  That is the
+    sequence numpy's scalar ``max`` reduction applies to a gathered
+    window, so the bits are the window reduction's (numpy's SIMD
+    reduction, taken for windows wider than a vector, may return the
+    other sign of a zero maximum when a window holds both +0 and -0;
+    every other value, NaN and inf included, is identical).
+
+    Mean pooling gathers the views into a ``(..., kh * kw)`` window
+    buffer and reduces it: ``np.mean`` sums pairwise, not left to right,
+    so a fold would round differently.  Both layouts gather in the same
+    offset order, so NHWC output is the NCHW output's bits, transposed.
+    """
+    kh, kw = _pair(kernel)
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
     if ph or pw:
-        if workspace is not None:
-            data = _pad_into(
-                workspace.get((n, c, h + 2 * ph, w + 2 * pw), data.dtype,
-                              "pool_pad"),
-                data, ph, pw, pad_value)
-        else:
-            data = np.pad(data, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                          constant_values=pad_value)
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if workspace is not None:
-        windows = workspace.get((n, c, oh, ow, kh * kw), data.dtype,
-                                "pool_windows")
-    else:
-        windows = np.empty((n, c, oh, ow, kh * kw), dtype=data.dtype)
-    idx = 0
+        shape = list(data.shape)
+        shape[axes[0]] += 2 * ph
+        shape[axes[1]] += 2 * pw
+        data = _pad_into(scratch(workspace, shape, data.dtype, "pool_pad"),
+                         data, ph, pw, -np.inf if take_max else 0.0, axes)
+    oh = (data.shape[axes[0]] - kh) // sh + 1
+    ow = (data.shape[axes[1]] - kw) // sw + 1
+    index = [slice(None)] * 4
+    views = []
     for i in range(kh):
-        i_end = i + sh * oh
+        index[axes[0]] = slice(i, i + sh * oh, sh)
         for j in range(kw):
-            j_end = j + sw * ow
-            windows[..., idx] = data[:, :, i:i_end:sh, j:j_end:sw]
-            idx += 1
-    if out is not None:
-        return reducer(windows, axis=-1, out=out)
-    return reducer(windows, axis=-1)
+            index[axes[1]] = slice(j, j + sw * ow, sw)
+            views.append(data[tuple(index)])
+    if take_max:
+        if out is None:
+            out = np.empty(views[0].shape, dtype=data.dtype)
+        if len(views) == 1:
+            np.copyto(out, views[0])
+        else:
+            np.maximum(views[0], views[1], out=out)
+        for view in views[2:]:
+            np.maximum(out, view, out=out)
+        return out
+    windows = scratch(workspace, views[0].shape + (kh * kw,), data.dtype,
+                      "pool_windows")
+    for idx, view in enumerate(views):
+        windows[..., idx] = view
+    return np.mean(windows, axis=-1, out=out)
 
 
 def maxpool2d(data: np.ndarray, kernel, stride=None, padding=0,
               out: Optional[np.ndarray] = None,
               workspace: Optional[Workspace] = None) -> np.ndarray:
     stride = kernel if stride is None else stride
-    return _pool2d(data, kernel, stride, padding, np.max, -np.inf,
+    return _pool2d(data, kernel, stride, padding, True,
                    out=out, workspace=workspace)
 
 
@@ -898,81 +976,24 @@ def avgpool2d(data: np.ndarray, kernel, stride=None, padding=0,
     excluding padding from the divisor.
     """
     stride = kernel if stride is None else stride
-    return _pool2d(data, kernel, stride, padding, np.mean, 0.0,
+    return _pool2d(data, kernel, stride, padding, False,
                    out=out, workspace=workspace)
-
-
-def _pad_into_nhwc(buffer: np.ndarray, data: np.ndarray, ph: int, pw: int,
-                   value: float) -> np.ndarray:
-    h, w = data.shape[1], data.shape[2]
-    buffer[:, :ph, :, :] = value
-    buffer[:, ph + h:, :, :] = value
-    buffer[:, :, :pw, :] = value
-    buffer[:, :, pw + w:, :] = value
-    buffer[:, ph:ph + h, pw:pw + w, :] = data
-    return buffer
-
-
-def _pool2d_nhwc(data: np.ndarray, kernel, stride, padding, reducer,
-                 pad_value: float, out: Optional[np.ndarray] = None,
-                 workspace: Optional[Workspace] = None) -> np.ndarray:
-    """NHWC twin of :func:`_pool2d`.
-
-    The window gather visits kernel offsets in the same ``i*kw + j``
-    order and reduces a last axis of the same length ``kh*kw``, so for
-    every output element numpy performs the identical reduction over the
-    identical value sequence — the result is the NCHW pool's output bits,
-    merely transposed.
-    """
-    kernel = _pair(kernel)
-    stride = _pair(stride)
-    padding = _pair(padding)
-    n, h, w, c = data.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    if ph or pw:
-        if workspace is not None:
-            data = _pad_into_nhwc(
-                workspace.get((n, h + 2 * ph, w + 2 * pw, c), data.dtype,
-                              "pool_pad_nhwc"),
-                data, ph, pw, pad_value)
-        else:
-            data = np.pad(data, ((0, 0), (ph, ph), (pw, pw), (0, 0)),
-                          constant_values=pad_value)
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if workspace is not None:
-        windows = workspace.get((n, oh, ow, c, kh * kw), data.dtype,
-                                "pool_windows_nhwc")
-    else:
-        windows = np.empty((n, oh, ow, c, kh * kw), dtype=data.dtype)
-    idx = 0
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            windows[..., idx] = data[:, i:i_end:sh, j:j_end:sw, :]
-            idx += 1
-    if out is not None:
-        return reducer(windows, axis=-1, out=out)
-    return reducer(windows, axis=-1)
 
 
 def maxpool2d_nhwc(data: np.ndarray, kernel, stride=None, padding=0,
                    out: Optional[np.ndarray] = None,
                    workspace: Optional[Workspace] = None) -> np.ndarray:
     stride = kernel if stride is None else stride
-    return _pool2d_nhwc(data, kernel, stride, padding, np.max, -np.inf,
-                        out=out, workspace=workspace)
+    return _pool2d(data, kernel, stride, padding, True,
+                   out=out, workspace=workspace, axes=(1, 2))
 
 
 def avgpool2d_nhwc(data: np.ndarray, kernel, stride=None, padding=0,
                    out: Optional[np.ndarray] = None,
                    workspace: Optional[Workspace] = None) -> np.ndarray:
     stride = kernel if stride is None else stride
-    return _pool2d_nhwc(data, kernel, stride, padding, np.mean, 0.0,
-                        out=out, workspace=workspace)
+    return _pool2d(data, kernel, stride, padding, False,
+                   out=out, workspace=workspace, axes=(1, 2))
 
 
 def global_avgpool2d(data: np.ndarray) -> np.ndarray:

@@ -18,11 +18,14 @@ integer weights pre-cast (and, for ``qdense``, pre-transposed — integer
 matmul is exact, so the transposed call form is bitwise-identical), and
 quantized zero-point row-sums folded into a single additive term.
 Exact-GEMM-eligible quantized nodes (single group, reduction within
-``kernels.EXACT_GEMM_MAX_REDUCE``) instead pack float64 weight matrices
-(``w2_f64``/``wt_f64``, or ``w_nhwc_f64`` for NHWC-layout regions) that
-feed the blocked float64 GEMMs in :mod:`repro.runtime.kernels` — the
-accumulators are exact integers, so these packs are bitwise-identical to
-the int32 forms they replace.  Float
+``kernels.EXACT_GEMM_MAX_REDUCE``) instead pack float weight matrices
+(``w2_exact``/``wt_exact``, or ``w_nhwc_exact`` for NHWC-layout regions)
+that feed the blocked BLAS GEMMs in :mod:`repro.runtime.kernels` —
+float32 where the layer's weights prove that exact
+(:func:`_exact_gemm_dtype`), float64 otherwise.  The accumulators are
+exact integers, so these packs are bitwise-identical to the int32 forms
+they replace.  Constant batchnorm parameters fold to one per-channel
+``scale``/``shift`` pair.  Float
 GEMM weights are deliberately *not* pre-transposed: ``x @ W.T`` and
 ``x @ ascontiguousarray(W.T)`` take different BLAS code paths (NT vs NN)
 whose results differ in the last ulp, and every specialized path must
@@ -73,9 +76,12 @@ KernelFn = Callable[..., List[np.ndarray]]
 
 # Version of the prepack entry layout.  Part of the plan-cache key, so a
 # change to what any prepacker stores invalidates stale cache entries.
-# v2: quantized packs for exact-GEMM-eligible nodes store float64 weight
-# matrices ("w2_f64"/"wt_f64"/"w_nhwc_f64") instead of int32 tensors,
-# and NHWC-layout convs store the NHWC-ordered pack + row term.
+# v2: quantized packs for exact-GEMM-eligible nodes store float weight
+# matrices ("w2_exact"/"wt_exact"/"w_nhwc_exact") instead of int32
+# tensors, and NHWC-layout convs store the NHWC-ordered pack + row term.
+# Renaming those entries and narrowing them to float32 moved
+# plan_cache.ENTRY_VERSION instead of this number: the key stays put, so
+# a stale entry is rebuilt in place rather than orphaned at an old key.
 PACK_FORMAT_VERSION = 2
 
 
@@ -350,18 +356,18 @@ def _out_spec(node: Node, specs) -> Tuple[Tuple[int, ...], np.dtype]:
     return tuple(spec.shape), spec.dtype.to_numpy()
 
 
-def _finish_activation(name, alpha, act, out: np.ndarray,
+def _finish_activation(name, alpha, act, pre: np.ndarray, out: np.ndarray,
                        ctx: RunContext) -> np.ndarray:
-    """Apply a fused activation to an arena-owned buffer.
+    """Apply a fused activation on its way into the arena buffer ``out``.
 
-    In-place when the activation supports it; otherwise fall back to the
-    allocating form and hand the now-dead arena buffer straight back."""
-    if act is None:
+    ``pre`` holds the kernel's result: ``out`` itself, or the transient
+    twin :func:`kernels.activation_twin` chose when the activation may
+    not run in place.  Activations ``apply_activation`` cannot write go
+    through the allocating form and hand ``out`` straight back."""
+    if act is None or kernels.apply_activation(name, pre, out, ctx.workspace,
+                                               alpha=alpha):
         return out
-    if kernels.apply_activation_inplace(name, out, ctx.workspace,
-                                        alpha=alpha):
-        return out
-    result = act(out)
+    result = act(pre)
     ctx.arena.release(out)
     return result
 
@@ -419,11 +425,11 @@ def _build_conv2d(node: Node, specs, pack=None) -> KernelFn:
             out = kernels.conv2d(args[0], args[1], bias=bias,
                                  packed_weight=w2, **attrs)
             return [act(out) if act else out]
-        out = kernels.conv2d(args[0], args[1], bias=bias,
-                             out=ctx.alloc(shape, dtype),
-                             workspace=ctx.workspace,
-                             packed_weight=w2, **attrs)
-        return [_finish_activation(act_name, act_alpha, act, out, ctx)]
+        out = ctx.alloc(shape, dtype)
+        pre = kernels.activation_twin(act_name, out, ctx.workspace, "preact")
+        kernels.conv2d(args[0], args[1], bias=bias, out=pre,
+                       workspace=ctx.workspace, packed_weight=w2, **attrs)
+        return [_finish_activation(act_name, act_alpha, act, pre, out, ctx)]
     return run
 
 
@@ -442,10 +448,11 @@ def _build_dense(node: Node, specs, pack=None) -> KernelFn:
         if ctx is None:
             out = kernels.dense(args[0], weight, bias=bias)
             return [act(out) if act else out]
-        out = kernels.dense(args[0], weight, bias=bias,
-                            out=ctx.alloc(shape, dtype),
-                            workspace=ctx.workspace)
-        return [_finish_activation(act_name, act_alpha, act, out, ctx)]
+        out = ctx.alloc(shape, dtype)
+        pre = kernels.activation_twin(act_name, out, ctx.workspace, "preact")
+        kernels.dense(args[0], weight, bias=bias, out=pre,
+                      workspace=ctx.workspace)
+        return [_finish_activation(act_name, act_alpha, act, pre, out, ctx)]
     return run
 
 
@@ -489,6 +496,15 @@ def _build_bdense(node: Node, specs, pack=None) -> KernelFn:
     return run
 
 
+def _scratch_form(ctx: Optional[RunContext], shape, dtype) -> dict:
+    """``out=``/``workspace=`` for a quantize/requantize call: an arena
+    buffer and the plan's scratch with a context, nothing — the
+    allocating reference form — without one."""
+    if ctx is None:
+        return {}
+    return {"out": ctx.alloc(shape, dtype), "workspace": ctx.workspace}
+
+
 def _conv_kernel_hw(node: Node, specs) -> Tuple[int, int]:
     w_spec = specs[node.inputs[1]]
     return int(w_spec.shape[2]), int(w_spec.shape[3])
@@ -503,14 +519,16 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
     activation = node.attrs.get("activation")
     alpha = node.attrs.get("activation_alpha")
     has_bias = len(node.inputs) > 2
+    shape, dtype = _out_spec(node, specs)
 
     if node.attrs.get("layout") == "NHWC":
         # Layout-pass region: activations flow NHWC through this node.
         # Weights are still OIHW initializers; the pack carries the
-        # NHWC-ordered float64 matrix.  Without a pack, semantics are
+        # NHWC-ordered float matrix.  Without a pack, semantics are
         # *defined* by transposing back to the NCHW reference.
-        if pack and "w_nhwc_f64" in pack and (not has_bias or "bias" in pack):
-            w_f64 = pack["w_nhwc_f64"]
+        if pack and "w_nhwc_exact" in pack and (
+                not has_bias or "bias" in pack):
+            w_pack = pack["w_nhwc_exact"]
             row_term = pack.get("row_term_nhwc")
             input_zero = int(input_params.zero_point.ravel()[0])
             requant = build_requant_plan(
@@ -522,14 +540,13 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
             stride, padding = attrs["stride"], attrs["padding"]
 
             def run(args, ctx=None):
-                ws = ctx.workspace if ctx is not None else None
                 acc = kernels.qconv2d_acc_nhwc(
-                    args[0], w_f64, kernel_hw, stride, padding,
+                    args[0], w_pack, kernel_hw, stride, padding,
                     input_zero=0 if row_term is not None else input_zero,
-                    workspace=ws)
+                    workspace=ctx.workspace if ctx is not None else None)
                 if row_term is not None:
                     acc -= row_term
-                return [requant(acc)]
+                return [requant(acc, **_scratch_form(ctx, shape, dtype))]
             return run
 
         def run(args, ctx=None):
@@ -541,12 +558,12 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
             return [np.ascontiguousarray(out.transpose(0, 2, 3, 1))]
         return run
 
-    if pack and "w2_f64" in pack and (not has_bias or "bias" in pack):
-        # Exact blocked-GEMM path: the float64 accumulator holds the same
+    if pack and "w2_exact" in pack and (not has_bias or "bias" in pack):
+        # Exact blocked-GEMM path: the float accumulator holds the same
         # integers the int32 reference computes (see kernels module
-        # docstring), and the requant plan's first op converts int32 to
-        # float64 anyway — identical bits either way.
-        w2_f64 = pack["w2_f64"]
+        # docstring), and the requant plan's first op converts either to
+        # float64 exactly — identical bits either way.
+        w2 = pack["w2_exact"]
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -557,14 +574,13 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
         stride, padding = attrs["stride"], attrs["padding"]
 
         def run(args, ctx=None):
-            ws = ctx.workspace if ctx is not None else None
             acc = kernels.qconv2d_acc(
-                args[0], w2_f64, kernel_hw, stride, padding,
+                args[0], w2, kernel_hw, stride, padding,
                 input_zero=0 if row_term is not None else input_zero,
-                workspace=ws)
+                workspace=ctx.workspace if ctx is not None else None)
             if row_term is not None:
                 acc -= row_term
-            return [requant(acc)]
+            return [requant(acc, **_scratch_form(ctx, shape, dtype))]
         return run
 
     if pack and "w_int" in pack and (not has_bias or "bias" in pack):
@@ -588,7 +604,7 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
                 # the shift folds into the prepacked additive term.
                 acc = kernels.conv2d(q, w_int, packed_weight=w2, **attrs)
                 acc -= row_term
-            return [requant(acc)]
+            return [requant(acc, **_scratch_form(ctx, shape, dtype))]
         return run
 
     def run(args, ctx=None):
@@ -607,9 +623,10 @@ def _build_qdense(node: Node, specs, pack=None) -> KernelFn:
     activation = node.attrs.get("activation")
     alpha = node.attrs.get("activation_alpha")
     has_bias = len(node.inputs) > 2
+    shape, dtype = _out_spec(node, specs)
 
-    if pack and "wt_f64" in pack and (not has_bias or "bias" in pack):
-        wt_f64 = pack["wt_f64"]
+    if pack and "wt_exact" in pack and (not has_bias or "bias" in pack):
+        wt = pack["wt_exact"]
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -618,14 +635,13 @@ def _build_qdense(node: Node, specs, pack=None) -> KernelFn:
             channel_ndim=2, activation=activation, activation_alpha=alpha)
 
         def run(args, ctx=None):
-            ws = ctx.workspace if ctx is not None else None
             acc = kernels.qdense_acc(
-                args[0], wt_f64,
+                args[0], wt,
                 input_zero=0 if row_term is not None else input_zero,
-                workspace=ws)
+                workspace=ctx.workspace if ctx is not None else None)
             if row_term is not None:
                 acc -= row_term
-            return [requant(acc)]
+            return [requant(acc, **_scratch_form(ctx, shape, dtype))]
         return run
 
     if pack and "wt_int" in pack and (not has_bias or "bias" in pack):
@@ -644,7 +660,7 @@ def _build_qdense(node: Node, specs, pack=None) -> KernelFn:
             else:
                 acc = q @ wt_int
                 acc -= row_term
-            return [requant(acc)]
+            return [requant(acc, **_scratch_form(ctx, shape, dtype))]
         return run
 
     def run(args, ctx=None):
@@ -659,6 +675,23 @@ def _build_qdense(node: Node, specs, pack=None) -> KernelFn:
 def _build_batchnorm(node: Node, specs, pack=None) -> KernelFn:
     epsilon = float(node.attrs.get("epsilon", 1e-5))
     shape, dtype = _out_spec(node, specs)
+
+    if pack and "scale" in pack:
+        # Constant parameters: the kernel's scale/shift, computed once by
+        # the prepacker with the kernel's own expressions.
+        channels = [1] * len(shape)
+        channels[1] = -1
+        scale = pack["scale"].reshape(channels)
+        shift = pack["shift"].reshape(channels)
+
+        def run(args, ctx=None):
+            if ctx is None:
+                return [args[0] * scale + shift]
+            out = ctx.alloc(shape, dtype)
+            np.multiply(args[0], scale, out=out)
+            np.add(out, shift, out=out)
+            return [out]
+        return run
 
     def run(args, ctx=None):
         if ctx is None:
@@ -798,32 +831,38 @@ def _build_pad(node: Node, specs, pack=None) -> KernelFn:
 @_builder("quantize")
 def _build_quantize(node: Node, specs, pack=None) -> KernelFn:
     params = _own_qparams(node)
-    return lambda args, ctx=None: [params.quantize(args[0])]
+    shape, dtype = _out_spec(node, specs)
+    return lambda args, ctx=None: [
+        params.quantize(args[0], **_scratch_form(ctx, shape, dtype))]
 
 
 @_builder("dequantize")
 def _build_dequantize(node: Node, specs, pack=None) -> KernelFn:
     params = _own_qparams(node)
-    return lambda args, ctx=None: [params.dequantize(args[0])]
+    shape, dtype = _out_spec(node, specs)
+    return lambda args, ctx=None: [
+        params.dequantize(args[0], **_scratch_form(ctx, shape, dtype))]
 
 
 def _build_activation(node: Node, specs, pack=None) -> KernelFn:
     name = node.op_type
     alpha = node.attrs.get("alpha")
     fn = kernels.resolve_activation(name, alpha)
-    inplace = name in kernels.INPLACE_ACTIVATIONS
+    buffered = name in kernels.BUFFERED_ACTIVATIONS
     shape, dtype = _out_spec(node, specs)
 
     def run(args, ctx=None):
-        if ctx is None or not inplace:
-            return [fn(args[0])]
-        out = ctx.alloc(shape, dtype)
-        np.copyto(out, args[0])
-        if not kernels.apply_activation_inplace(name, out, ctx.workspace,
-                                                alpha=alpha):
-            ctx.arena.release(out)
-            return [fn(args[0])]
-        return [out]
+        x = args[0]
+        if buffered:
+            out = np.empty(x.shape, dtype=dtype) if ctx is None \
+                else ctx.alloc(shape, dtype)
+            if kernels.apply_activation(
+                    name, x, out, ctx.workspace if ctx is not None else None,
+                    alpha=alpha):
+                return [out]
+            if ctx is not None:
+                ctx.arena.release(out)
+        return [fn(x)]
     return run
 
 
@@ -884,8 +923,8 @@ def _shard_conv2d(node: Node, specs, pack=None) -> Optional[ShardPlan]:
             # Fused activations are elementwise, hence row-independent;
             # applying them per shard is bitwise-identical.
             view = out[lo:hi]
-            if not kernels.apply_activation_inplace(
-                    act_name, view, workspace, alpha=act_alpha):
+            if not kernels.apply_activation(
+                    act_name, view, view, workspace, alpha=act_alpha):
                 view[...] = act(view)
     return ShardPlan(int(shape[0]), shape, np.dtype(dtype), run_shard)
 
@@ -907,11 +946,11 @@ def _shard_qconv2d(node: Node, specs, pack=None) -> Optional[ShardPlan]:
     alpha = node.attrs.get("activation_alpha")
     has_bias = len(node.inputs) > 2
 
-    if pack and "w2_f64" in pack and (not has_bias or "bias" in pack):
-        # Exact float64 GEMM on a batch slice: integer accumulation is
+    if pack and "w2_exact" in pack and (not has_bias or "bias" in pack):
+        # Exact float GEMM on a batch slice: integer accumulation is
         # exact under any split, so shards reproduce their rows bit for
         # bit (same argument as the int32 shard below).
-        w2_f64 = pack["w2_f64"]
+        w2 = pack["w2_exact"]
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -923,12 +962,12 @@ def _shard_qconv2d(node: Node, specs, pack=None) -> Optional[ShardPlan]:
 
         def run_shard(args, out, lo, hi, workspace=None):
             acc = kernels.qconv2d_acc(
-                args[0][lo:hi], w2_f64, kernel_hw, stride, padding,
+                args[0][lo:hi], w2, kernel_hw, stride, padding,
                 input_zero=0 if row_term is not None else input_zero,
                 workspace=workspace)
             if row_term is not None:
                 acc -= row_term
-            out[lo:hi] = requant(acc)
+            requant(acc, out=out[lo:hi], workspace=workspace)
         return ShardPlan(int(shape[0]), shape, np.dtype(dtype), run_shard)
 
     if pack and "w_int" in pack and (not has_bias or "bias" in pack):
@@ -976,8 +1015,8 @@ def _shard_qdense(node: Node, specs, pack=None) -> Optional[ShardPlan]:
     alpha = node.attrs.get("activation_alpha")
     has_bias = len(node.inputs) > 2
 
-    if pack and "wt_f64" in pack and (not has_bias or "bias" in pack):
-        wt_f64 = pack["wt_f64"]
+    if pack and "wt_exact" in pack and (not has_bias or "bias" in pack):
+        wt = pack["wt_exact"]
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -987,12 +1026,12 @@ def _shard_qdense(node: Node, specs, pack=None) -> Optional[ShardPlan]:
 
         def run_shard(args, out, lo, hi, workspace=None):
             acc = kernels.qdense_acc(
-                args[0][lo:hi], wt_f64,
+                args[0][lo:hi], wt,
                 input_zero=0 if row_term is not None else input_zero,
                 workspace=workspace)
             if row_term is not None:
                 acc -= row_term
-            out[lo:hi] = requant(acc)
+            requant(acc, out=out[lo:hi], workspace=workspace)
     elif pack and "wt_int" in pack and (not has_bias or "bias" in pack):
         wt_int = pack["wt_int"]
         row_term = pack.get("row_term")
@@ -1117,8 +1156,35 @@ def _prepack_binary(node, graph, specs):
     }
 
 
+@_prepacker("batchnorm")
+def _prepack_batchnorm(node, graph, specs):
+    params = [graph.initializers.get(name) for name in node.inputs[1:5]]
+    if len(params) != 4 or any(p is None for p in params):
+        return None
+    scale, shift = kernels.batchnorm_affine(
+        *params, float(node.attrs.get("epsilon", 1e-5)))
+    return {"scale": scale, "shift": shift}
+
+
+def _exact_gemm_dtype(q_weight: np.ndarray) -> np.dtype:
+    """The narrowest float dtype in which this layer's GEMM is exact.
+
+    Operands are ``q - z`` in [-255, 255] (or raw codes), so every partial
+    sum of an output — in any BLAS blocking or FMA grouping — is an
+    integer of magnitude at most ``255 * sum|w|`` over that output's
+    weight row (axis 0 indexes outputs for OIHW and (out, in) alike).
+    Below ``kernels.EXACT_F32_BOUND`` it is exactly representable in
+    float32; otherwise float64, exact up to EXACT_GEMM_MAX_REDUCE.
+    """
+    rows = np.abs(q_weight.reshape(q_weight.shape[0], -1).astype(np.int16))
+    widest = int(rows.sum(axis=1, dtype=np.int64).max())
+    if 255 * widest < kernels.EXACT_F32_BOUND:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
 def _exact_qconv_eligible(node: Node, q_weight: np.ndarray) -> bool:
-    """Whether the conv may run through the exact float64 blocked GEMM:
+    """Whether the conv may run through the exact blocked float GEMM:
     single-group, reduction narrow enough that every partial sum is an
     exact integer in float64 *and* matches the int32 reference (which
     cannot overflow below this width either)."""
@@ -1145,12 +1211,12 @@ def _prepack_qconv2d(node, graph, specs):
             return None
         # OIHW -> (kh, kw, in_c, out_c): row index (i*kw + j)*C + ci,
         # the NHWC column gather order.
-        pack = {"w_nhwc_f64": np.ascontiguousarray(
+        pack = {"w_nhwc_exact": np.ascontiguousarray(
             q_weight.transpose(2, 3, 1, 0).reshape(k, out_c)
-            .astype(np.float64))}
+            .astype(_exact_gemm_dtype(q_weight)))}
     elif exact:
-        pack = {"w2_f64": np.ascontiguousarray(
-            q_weight.reshape(out_c, k).astype(np.float64))}
+        pack = {"w2_exact": np.ascontiguousarray(
+            q_weight.reshape(out_c, k).astype(_exact_gemm_dtype(q_weight)))}
     else:
         pack = {"w_int": q_weight.astype(np.int32)}
     bias = _bias_init(node, graph)
@@ -1178,12 +1244,12 @@ def _prepack_qdense(node, graph, specs):
         return None
     # Integer matmul is exact, so the pre-transposed contiguous call
     # form is bitwise-identical to the strided `q @ W.T` it replaces —
-    # and, within the exact-GEMM reduction bound, so is the float64
+    # and, within the exact-GEMM reduction bound, so is the float
     # BLAS form (see kernels module docstring).
     if kernels.exact_qgemm_enabled() \
             and q_weight.shape[1] <= kernels.EXACT_GEMM_MAX_REDUCE:
-        pack = {"wt_f64": np.ascontiguousarray(
-            q_weight.astype(np.float64).T)}
+        pack = {"wt_exact": np.ascontiguousarray(
+            q_weight.astype(_exact_gemm_dtype(q_weight)).T)}
     else:
         pack = {"wt_int": np.ascontiguousarray(q_weight.astype(np.int32).T)}
     bias = _bias_init(node, graph)

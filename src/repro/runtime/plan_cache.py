@@ -74,7 +74,12 @@ ENTRY_FORMAT = "repro-plan"
 # panels, NHWC packs, NHWC row terms).  The pack version is also part of
 # the cache key, so v2 entries both miss the key and fail the version
 # check — either way they are rebuilt and atomically replaced in place.
-ENTRY_VERSION = 3
+# v4: exact-GEMM packs are stored under dtype-neutral names
+# ("w2_exact"/"wt_exact"/"w_nhwc_exact") as float32 where the prepacker
+# proved that exact, and constant batchnorms carry a scale/shift pack.
+# The key is unchanged, so a v3 entry fails the version check and is
+# rebuilt in place.
+ENTRY_VERSION = 4
 
 _META_FILE = "meta.json"
 _BLOB_FILE = "weights.bin"

@@ -10,11 +10,12 @@ hardware-aware optimizer benchmarks the accuracy difference between them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ..ir.tensor import DType
+from . import kernels
 
 INT8_MIN, INT8_MAX = -128, 127
 UINT8_MIN, UINT8_MAX = 0, 255
@@ -75,15 +76,50 @@ class QuantParams:
             self._bcache[ndim] = entry
         return entry
 
-    def quantize(self, real: np.ndarray) -> np.ndarray:
-        """Quantize float values to the integer grid (round-to-nearest-even)."""
-        scale, zero = self.broadcast_for(real.ndim)
-        q = np.round(real / scale) + zero
-        return np.clip(q, self.qmin, self.qmax).astype(self.dtype.to_numpy())
+    def quantize(self, real: np.ndarray, out: Optional[np.ndarray] = None,
+                 workspace: Optional["kernels.Workspace"] = None
+                 ) -> np.ndarray:
+        """Quantize float values to the integer grid (round-to-nearest-even).
 
-    def dequantize(self, q: np.ndarray) -> np.ndarray:
+        The divide is float64 by statement, not by promotion: a float32
+        array over the 0-d float64 scale is float64 only under NumPy 2's
+        rules, and the rounding boundary must not depend on that.  Every
+        stage rewrites one float64 buffer (``workspace`` scratch when
+        given, fresh otherwise); ``out`` receives the integer codes.
+        """
+        scale, zero = self.broadcast_for(real.ndim)
+        q = kernels.scratch(workspace, real.shape, np.float64, "f64_stage")
+        np.divide(real, scale, out=q, dtype=np.float64)
+        return _to_grid(q, zero, self.qmin, self.qmax, out,
+                        self.dtype.to_numpy())
+
+    def dequantize(self, q: np.ndarray, out: Optional[np.ndarray] = None,
+                   workspace: Optional["kernels.Workspace"] = None
+                   ) -> np.ndarray:
         scale, zero = self.broadcast_for(q.ndim)
-        return ((q.astype(np.float64) - zero) * scale).astype(np.float32)
+        real = kernels.scratch(workspace, q.shape, np.float64, "f64_stage")
+        np.subtract(q, zero, out=real, dtype=np.float64)
+        np.multiply(real, scale, out=real)
+        return _cast_into(out, real, np.float32)
+
+
+def _cast_into(out: Optional[np.ndarray], values: np.ndarray,
+               dtype) -> np.ndarray:
+    """``values`` cast to ``dtype``: into ``out`` when given, else fresh."""
+    if out is None:
+        return values.astype(dtype)
+    np.copyto(out, values, casting="unsafe")
+    return out
+
+
+def _to_grid(q: np.ndarray, zero: np.ndarray, qmin: int, qmax: int,
+             out: Optional[np.ndarray], dtype) -> np.ndarray:
+    """Round, shift and saturate the float64 buffer ``q`` in place, then
+    cast it to the integer grid — the tail quantize and requantize share."""
+    np.round(q, out=q)
+    np.add(q, zero, out=q)
+    np.clip(q, qmin, qmax, out=q)
+    return _cast_into(out, q, dtype)
 
 
 def choose_qparams(
@@ -141,8 +177,6 @@ def quantized_conv2d(
     product runs entirely in integers; the float rescale happens once per
     output channel at requantization.
     """
-    from . import kernels
-
     acc = kernels.conv2d(
         (q_data.astype(np.int32) - int(data_params.zero_point.ravel()[0])),
         q_weight.astype(np.int32),
@@ -180,31 +214,58 @@ class RequantPlan:
     path is bitwise-identical to per-call requantization by construction.
     """
 
-    __slots__ = ("multiplier", "bias", "activation", "out_scale", "out_zero",
-                 "qmin", "qmax", "out_dtype")
+    __slots__ = ("multiplier", "bias", "act_name", "act_alpha", "activation",
+                 "out_scale", "out_zero", "qmin", "qmax", "out_dtype")
 
     def __init__(self, multiplier: np.ndarray, bias: Optional[np.ndarray],
-                 activation: Optional[Callable[[np.ndarray], np.ndarray]],
+                 activation: Optional[str], activation_alpha: Optional[float],
                  out_scale: np.ndarray, out_zero: np.ndarray,
                  qmin: int, qmax: int, out_dtype: np.dtype) -> None:
         self.multiplier = multiplier
         self.bias = bias
-        self.activation = activation
+        self.act_name = activation
+        self.act_alpha = activation_alpha
+        self.activation = kernels.resolve_activation(activation,
+                                                     activation_alpha)
         self.out_scale = out_scale
         self.out_zero = out_zero
         self.qmin = qmin
         self.qmax = qmax
         self.out_dtype = out_dtype
 
-    def __call__(self, acc: np.ndarray) -> np.ndarray:
-        real = acc * self.multiplier
+    def __call__(self, acc: np.ndarray, out: Optional[np.ndarray] = None,
+                 workspace: Optional["kernels.Workspace"] = None
+                 ) -> np.ndarray:
+        """Requantize ``acc`` (int32, or an exact float accumulator).
+
+        One float64 buffer carries scale, bias, divide, round, shift and
+        clip; one float32 buffer the real-domain value the activation
+        sees.  Without a workspace both are fresh (the reference form);
+        with one they are reused scratch, and a float64 ``acc`` — the
+        GEMM kernel's own accumulator scratch — is scaled in place.
+        """
+        if workspace is not None and acc.dtype == np.float64:
+            wide = acc
+        else:
+            wide = kernels.scratch(workspace, acc.shape, np.float64,
+                                   "f64_stage")
+        np.multiply(acc, self.multiplier, out=wide, dtype=np.float64)
         if self.bias is not None:
-            real = real + self.bias
-        real = real.astype(np.float32)
+            np.add(wide, self.bias, out=wide)
+        real = kernels.scratch(workspace, acc.shape, np.float32,
+                               "requant_f32")
+        np.copyto(real, wide)
         if self.activation is not None:
-            real = self.activation(real)
-        q = np.round(real / self.out_scale) + self.out_zero
-        return np.clip(q, self.qmin, self.qmax).astype(self.out_dtype)
+            dest = kernels.activation_twin(self.act_name, real, workspace,
+                                           "requant_act")
+            if kernels.apply_activation(self.act_name, real, dest, workspace,
+                                        alpha=self.act_alpha):
+                real = dest
+            else:
+                real = self.activation(real)
+        np.divide(real, self.out_scale, out=wide, dtype=np.float64)
+        return _to_grid(wide, self.out_zero, self.qmin, self.qmax, out,
+                        self.out_dtype)
 
 
 def requant_multiplier(data_params: QuantParams,
@@ -249,8 +310,6 @@ def build_requant_plan(data_params: QuantParams,
     and bias; NHWC callers must use per-tensor (scalar) output params,
     which broadcast the same in any layout.
     """
-    from .kernels import resolve_activation
-
     if bias is not None and channel_ndim == 4:
         if channel_axis in (None, 1):
             bias = bias.reshape(1, -1, 1, 1)
@@ -260,9 +319,7 @@ def build_requant_plan(data_params: QuantParams,
     return RequantPlan(
         requant_multiplier(data_params, weight_params, channel_ndim,
                            channel_axis=channel_axis),
-        bias,
-        resolve_activation(activation, activation_alpha) if activation
-        else None,
+        bias, activation or None, activation_alpha,
         out_scale, out_zero,
         out_params.qmin, out_params.qmax, out_params.dtype.to_numpy(),
     )

@@ -170,24 +170,25 @@ class TestCacheTokenAndPlanCache:
         assert any(n.op_type == "transpose" for n in warm.graph.nodes)
         assert_bitwise(ref, Executor(warm.graph, plan=warm.plan).run(feeds))
 
-    def test_f64_packs_round_trip(self, tmp_path):
-        """The v2 pack format (float64 exact-GEMM panels) must survive
-        the blob round trip and load as bit-identical arrays."""
+    def test_exact_packs_round_trip(self, tmp_path):
+        """The exact-GEMM panels (float32 under the prepacker's proof,
+        float64 otherwise) must survive the blob round trip and load as
+        bit-identical arrays of the dtype they were packed in."""
         g = quantized_net()
         cache = PlanCache(tmp_path)
         cold = load_or_build(g, cache=cache)
         warm = load_or_build(g, cache=cache)
         assert warm.from_cache
-        f64_packs = 0
+        exact_packs = 0
         for node_name, entries in cold.plan.packs.items():
             for entry_name, value in entries.items():
                 loaded = warm.plan.packs[node_name][entry_name]
                 assert loaded.dtype == value.dtype
                 np.testing.assert_array_equal(loaded, value)
-                if value.dtype == np.float64 and entry_name.startswith(
-                        ("w2", "wt", "w_nhwc")):
-                    f64_packs += 1
-        assert f64_packs > 0
+                if entry_name.endswith("_exact"):
+                    assert value.dtype in (np.float32, np.float64)
+                    exact_packs += 1
+        assert exact_packs > 0
 
     def test_stale_version_entry_rebuilt_in_place(self, tmp_path):
         g = quantized_net()

@@ -339,16 +339,22 @@ class TestScratchVariants:
         assert got is out
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("name", sorted(kernels.INPLACE_ACTIVATIONS))
-    def test_inplace_activation_bitwise(self, name):
+    @pytest.mark.parametrize("name", sorted(kernels.BUFFERED_ACTIVATIONS))
+    def test_buffered_activation_bitwise(self, name):
         rng = np.random.default_rng(27)
         data = rng.normal(size=(64,)).astype(np.float32) * 4.0
         want = kernels.resolve_activation(name)(data)
+        out = np.empty_like(data)
+        assert kernels.apply_activation(
+            name, data, out, workspace=kernels.Workspace()) is True
+        np.testing.assert_array_equal(out, want)
+        # A buffer the caller owns: in place, except leaky_relu's twin.
         buf = data.copy()
-        handled = kernels.apply_activation_inplace(
-            name, buf, workspace=kernels.Workspace())
-        assert handled is True
-        np.testing.assert_array_equal(buf, want)
+        ws = kernels.Workspace()
+        dest = kernels.activation_twin(name, buf, ws, "twin")
+        assert (dest is buf) == (name != "leaky_relu")
+        assert kernels.apply_activation(name, buf, dest, workspace=ws)
+        np.testing.assert_array_equal(dest, want)
 
     def test_upsample_and_pad_out_bitwise(self):
         data = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
