@@ -624,7 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "workers * max_batch)")
     p_serve.add_argument("--warmup", type=int, default=8)
     p_serve.add_argument("--max-latency-ms", type=float, default=2.0,
-                         help="batching deadline for the oldest request")
+                         help="upper bound on how long a request "
+                              "lingers for its batch to fill")
     p_serve.add_argument("--num-threads", type=int, default=None,
                          help="threads per batch execution "
                               "(default: $REPRO_NUM_THREADS or 1)")

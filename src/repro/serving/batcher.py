@@ -9,16 +9,24 @@ Two assembly policies share this queue:
 
 * **Fixed-knob** (the default, and the fallback while the latency model
   is cold): a batch is dispatched as soon as ``max_batch`` requests are
-  waiting, or once the *oldest* request has waited ``max_latency_s``,
-  whichever comes first.  Under light load that deadline fires with a
-  single request queued and the engine degrades gracefully to batch-1
-  execution.
+  waiting, or once the *linger window* of ``max_latency_s`` closes,
+  whichever comes first.  The window opens when the oldest request
+  arrived or, if the consumer was already waiting on an empty queue by
+  then, when that wait began (:func:`linger_deadline`): a request that
+  finds the consumer idle is charged only what is left of the window —
+  nothing once the consumer has idled a whole one — while a request
+  queued behind a busy consumer lingers the full ``max_latency_s`` from
+  its arrival.  No request ever waits longer than ``max_latency_s`` for
+  company, and a non-full batch is handed out at most once per window
+  of consumer time.  Under light load the engine degrades gracefully to
+  batch-1 execution.
 * **Deadline-aware** (``cost_model`` set): each request may carry an
   absolute deadline (its SLO) and a priority class.  The consumer
   assembles the **largest batch whose predicted completion still meets
   the tightest deadline among the selected requests**, using the cost
   model's execute-latency prediction; it waits for more arrivals only
-  while the model says a bigger batch would still make the deadline.
+  while the model says a bigger batch would still make the deadline,
+  and never past the same linger window.
   Requests whose deadline cannot be met even at batch size 1 are *shed*
   through the ``on_shed`` callback instead of burning a queue slot and
   execute time on a guaranteed miss.
@@ -64,6 +72,23 @@ class RequestShedError(RuntimeError):
     """
 
 
+def linger_deadline(oldest_enqueued: float,
+                    waiting_since: Optional[float],
+                    max_latency_s: float) -> float:
+    """When batch assembly stops waiting for more arrivals.
+
+    The linger window is ``max_latency_s`` long and opens at the earlier
+    of the oldest queued request's arrival and ``waiting_since`` — when
+    the consumer began waiting on an empty queue (None: it found the
+    queue non-empty, so it was busy and the window is the oldest
+    request's own).  Never later than ``oldest_enqueued +
+    max_latency_s``.
+    """
+    opened = oldest_enqueued if waiting_since is None \
+        else min(oldest_enqueued, waiting_since)
+    return opened + max_latency_s
+
+
 @dataclass
 class InferenceRequest:
     """One queued single-sample request (leading batch axis of size 1)."""
@@ -87,13 +112,16 @@ class BatchQueue:
     ``next_batch`` is the consumer side (the engine's dispatcher thread):
     it blocks until at least one request is queued, then keeps collecting
     until the batch is full, the assembly policy decides waiting longer
-    would break an SLO, or the oldest request's timer expires.  Returns
-    ``None`` once the queue is closed and drained.
+    would break an SLO, or the linger window closes
+    (:func:`linger_deadline`: time the consumer already spent waiting on
+    the empty queue counts towards it).  Returns ``None`` once the queue
+    is closed and drained.
 
     Parameters
     ----------
     max_batch / max_latency_s
-        The fixed knobs: batch-size cap and the oldest-request timer.
+        The fixed knobs: batch-size cap and the linger window — the
+        upper bound on how long a queued request waits for company.
     cost_model
         Optional callable ``(batch_size) -> predicted execute seconds or
         None``; supplying it enables deadline-aware assembly (None
@@ -141,6 +169,9 @@ class BatchQueue:
         self._depth = 0
         self._cond = threading.Condition()
         self._closed = False
+        # When the consumer began waiting on an empty queue; kept across
+        # next_batch()'s re-examinations, cleared when a batch goes out.
+        self._waiting_since: Optional[float] = None
 
     # -- producer side -------------------------------------------------------
 
@@ -208,11 +239,15 @@ class BatchQueue:
                 while not self._depth:
                     if self._closed:
                         return None
+                    if self._waiting_since is None:
+                        self._waiting_since = time.monotonic()
                     self._cond.wait()
                 if self.cost_model is not None:
                     batch = self._assemble_adaptive(shed)
                 else:
                     batch = self._assemble_fixed()
+                if batch:
+                    self._waiting_since = None
             # Shed futures resolve *now*, outside the lock — a doomed
             # request must not wait for the next dispatch to learn its
             # fate.
@@ -225,11 +260,10 @@ class BatchQueue:
             # Empty list: the policy shed, timed out, or wants the
             # queue re-examined after a wait — loop.
 
-    # The seed policy, byte-for-byte: full batch, or oldest-request timer.
+    # Full batch, or the linger window closes.
     def _assemble_fixed(self) -> Optional[List[InferenceRequest]]:
         if self.max_batch > 1 and self.max_latency_s > 0:
-            oldest = self._oldest_enqueued()
-            deadline = oldest + self.max_latency_s
+            deadline = self._linger_deadline()
             while self._depth < self.max_batch and not self._closed:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -276,8 +310,8 @@ class BatchQueue:
         # Everything queued fits in one feasible batch and there is
         # headroom: wait for more arrivals only while a bigger batch
         # would still meet the tightest deadline, and never past the
-        # fixed-knob timer.
-        wait_until = self._oldest_enqueued() + self.max_latency_s
+        # linger window.
+        wait_until = self._linger_deadline()
         if tightest is not None:
             next_cost = self.cost_model(
                 min(self.max_batch, self._depth + 1))
@@ -328,9 +362,11 @@ class BatchQueue:
 
     # -- selection helpers (lock held) --------------------------------------
 
-    def _oldest_enqueued(self) -> float:
-        return min(queue[0].enqueued_at
-                   for queue in self._classes.values() if queue)
+    def _linger_deadline(self) -> float:
+        oldest = min(queue[0].enqueued_at
+                     for queue in self._classes.values() if queue)
+        return linger_deadline(oldest, self._waiting_since,
+                               self.max_latency_s)
 
     def _peek(self, count: int) -> List[InferenceRequest]:
         """First ``count`` requests in (priority desc, FIFO) order."""

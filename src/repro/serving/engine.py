@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import logging
 import threading
+import time
 from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,10 +47,6 @@ from .batcher import (
 )
 from .latency_model import BatchLatencyModel, model_path
 from .metrics import MetricsRecorder, MetricsSnapshot
-
-import time
-
-from dataclasses import dataclass
 
 logger = logging.getLogger("repro.serving")
 
@@ -124,8 +122,11 @@ class InferenceEngine:
     max_batch
         Largest batch the queue may coalesce.
     max_latency_ms
-        How long the oldest queued request may wait for the batch to
-        fill before being dispatched anyway.
+        Upper bound on how long a queued request lingers for the batch
+        to fill before being dispatched anyway.  Time the dispatcher
+        already spent idle on an empty queue counts towards it
+        (:func:`repro.serving.batcher.linger_deadline`), so a request
+        that finds the engine idle for this long is dispatched at once.
     reuse_buffers
         Run workers on scratch arenas (allocation-free steady state).
     plan_cache

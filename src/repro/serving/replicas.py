@@ -728,7 +728,9 @@ class ReplicaEngine:
         Executor processes to spawn.  Throughput scales with cores
         because each replica is a full interpreter with its own GIL.
     max_batch / max_latency_ms
-        Micro-batching knobs, exactly as on ``InferenceEngine``.
+        Micro-batching knobs, exactly as on ``InferenceEngine``:
+        ``max_latency_ms`` is the upper bound on linger, and a request
+        that finds the dispatcher idle is charged only the rest of it.
     max_inflight
         Outstanding batches allowed per replica; one executes while the
         next waits in the replica's pipe (pipelining), and the

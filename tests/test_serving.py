@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ir import build_model
 from repro.runtime import Executor
@@ -15,11 +16,13 @@ from repro.serving import (
     InferenceRequest,
     MetricsRecorder,
     QueueClosedError,
+    ReplicaEngine,
     check_sample,
     percentile,
     run_bench,
     sample_feeds,
 )
+from repro.serving.batcher import linger_deadline
 from repro.serving.bench import render
 
 
@@ -168,6 +171,204 @@ class TestBatchQueueDeadlineEdges:
         assert len(results) == 1 and results[0] is not None
         assert len(results[0]) == 1
         assert shed == []
+
+
+WINDOW = 0.2                  # linger window of the behaviour tests (s)
+clock = st.floats(min_value=0.0, max_value=1e7)
+window = st.floats(min_value=0.0, max_value=60.0)
+
+
+class TestLingerDeadline:
+    """The one deadline both assemblers use, as a pure function."""
+
+    @given(oldest=clock, waiting_since=st.none() | clock, latency=window)
+    def test_never_later_than_the_oldest_requests_own_window(
+            self, oldest, waiting_since, latency):
+        # No request is dispatched later than under the arrival-anchored
+        # rule: max_latency_s stays the upper bound on linger.
+        assert linger_deadline(oldest, waiting_since, latency) \
+            <= oldest + latency
+
+    @given(oldest=clock, latency=window)
+    def test_busy_consumer_gets_the_arrival_anchored_deadline(
+            self, oldest, latency):
+        # A consumer that found the queue non-empty never started
+        # waiting: its deadline is the oldest request's, bit for bit.
+        assert linger_deadline(oldest, None, latency) == oldest + latency
+
+    @given(oldest=clock, waiting_since=clock, latency=window,
+           overrun=st.floats(min_value=0.0, max_value=60.0))
+    def test_a_full_window_of_idleness_leaves_nothing_to_wait(
+            self, oldest, waiting_since, latency, overrun):
+        now = waiting_since + latency + overrun
+        assert linger_deadline(oldest, waiting_since, latency) <= now
+
+
+class Consumer:
+    """``next_batch()`` in a loop on a thread of its own, as the
+    engines' dispatchers call it; records when each batch came out."""
+
+    def __init__(self, queue):
+        self.queue = queue
+        self.handed_out = []                 # (time.monotonic(), batch)
+        self.started = time.monotonic()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        while True:
+            batch = self.queue.next_batch()
+            if batch is None:
+                return
+            self.handed_out.append((time.monotonic(), batch))
+
+    def wait_for(self, count, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while len(self.handed_out) < count:
+            assert time.monotonic() < deadline, \
+                f"{len(self.handed_out)} of {count} batches came out"
+            time.sleep(0.001)
+        return self.handed_out[count - 1]
+
+    def stop(self):
+        self.queue.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+class TestLingerWindow:
+    """The window opens when the consumer starts waiting, not when the
+    request arrives.  Window 200 ms, margins of tens of ms."""
+
+    def test_consumer_idle_a_whole_window_dispatches_at_once(self):
+        consumer = Consumer(BatchQueue(max_batch=8,
+                                       max_latency_s=WINDOW))
+        try:
+            time.sleep(1.5 * WINDOW)
+            request = make_request()
+            consumer.queue.submit(request)
+            at, batch = consumer.wait_for(1)
+        finally:
+            consumer.stop()
+        assert batch == [request]
+        assert at - request.enqueued_at < 0.05
+
+    def test_consumer_idle_half_a_window_waits_the_other_half(self):
+        consumer = Consumer(BatchQueue(max_batch=8,
+                                       max_latency_s=WINDOW))
+        try:
+            time.sleep(0.5 * WINDOW)
+            request = make_request()
+            consumer.queue.submit(request)
+            at, batch = consumer.wait_for(1)
+        finally:
+            consumer.stop()
+        assert batch == [request]
+        # Out when the window that opened with the consumer's wait
+        # closes: never before it, and well short of a window of the
+        # request's own.
+        assert at - consumer.started >= WINDOW
+        assert at - request.enqueued_at < 0.75 * WINDOW
+
+    def test_busy_consumer_still_waits_the_full_timer(self):
+        # The consumer idles more than a window and gets the arrival at
+        # once; handing it out ends the wait, so the request that comes
+        # in while the consumer is away (busy with that batch) lingers
+        # a whole window from its own arrival, exactly as before.
+        queue = BatchQueue(max_batch=8, max_latency_s=WINDOW)
+        first, second = make_request(0), make_request(1)
+
+        def arrive_late():
+            time.sleep(1.5 * WINDOW)
+            first.enqueued_at = time.monotonic()
+            queue.submit(first)
+
+        producer = threading.Thread(target=arrive_late)
+        producer.start()
+        assert queue.next_batch() == [first]
+        assert time.monotonic() - first.enqueued_at < 0.05
+        producer.join(timeout=5)
+        second.enqueued_at = time.monotonic()
+        queue.submit(second)
+        time.sleep(0.25 * WINDOW)        # the consumer is busy
+        assert queue.next_batch() == [second]
+        assert time.monotonic() - second.enqueued_at >= WINDOW - 0.005
+
+    def test_burst_after_long_idle_ships_head_then_the_rest_together(self):
+        # Five requests hit an idle consumer: the head goes out alone
+        # at once, and the other four are not shipped as fragments —
+        # they share the window that opens after that hand-out.
+        consumer = Consumer(BatchQueue(max_batch=8,
+                                       max_latency_s=WINDOW))
+        try:
+            time.sleep(1.5 * WINDOW)
+            head = make_request(0)
+            consumer.queue.submit(head)
+            head_at, _ = consumer.wait_for(1)
+            for i in range(1, 5):
+                consumer.queue.submit(make_request(i))
+            rest_at, _ = consumer.wait_for(2)
+        finally:
+            consumer.stop()
+        assert [len(batch) for _, batch in consumer.handed_out] == [1, 4]
+        assert head_at - head.enqueued_at < 0.05
+        # Non-full batches: at most one per window of consumer time.
+        assert rest_at - head_at >= WINDOW - 0.005
+
+    def test_adaptive_arrival_wait_does_not_reopen_the_window(self):
+        # The consumer has idled half a window when a request with a
+        # far deadline arrives: the adaptive assembler waits out the
+        # other half and returns [] for a re-examination, which must
+        # find the window closed — not open a fresh one for the same
+        # wait.
+        calls = []
+
+        def cost(size):
+            calls.append(size)
+            return 1e-4
+
+        consumer = Consumer(BatchQueue(max_batch=8, max_latency_s=WINDOW,
+                                       cost_model=cost,
+                                       on_shed=lambda r: None))
+        try:
+            time.sleep(0.5 * WINDOW)
+            request = make_request()
+            request.deadline_s = request.enqueued_at + 60.0
+            consumer.queue.submit(request)
+            at, batch = consumer.wait_for(1)
+        finally:
+            consumer.stop()
+        assert batch == [request]
+        # cost(depth + 1) is asked once per decision that considers
+        # waiting: two of them means the [] path ran.
+        assert calls.count(2) >= 2
+        assert at - request.enqueued_at < 0.75 * WINDOW
+
+    def test_shedding_to_depth_zero_does_not_reopen_the_window(self):
+        # A doomed request arrives three quarters into the window and
+        # is shed, emptying the queue again; the consumer's wait began
+        # before it and is still the same wait when a viable request
+        # arrives a window and a quarter in: that one goes at once.
+        shed = []
+        consumer = Consumer(BatchQueue(max_batch=8, max_latency_s=WINDOW,
+                                       cost_model=lambda n: 0.010,
+                                       on_shed=shed.append,
+                                       headroom_s=0.0))
+        try:
+            time.sleep(0.75 * WINDOW)
+            doomed = make_request(0)
+            doomed.deadline_s = doomed.enqueued_at + 0.001
+            consumer.queue.submit(doomed)
+            time.sleep(0.5 * WINDOW)
+            assert shed == [doomed] and not consumer.handed_out
+            viable = make_request(1)
+            viable.deadline_s = viable.enqueued_at + 60.0
+            consumer.queue.submit(viable)
+            at, batch = consumer.wait_for(1)
+        finally:
+            consumer.stop()
+        assert batch == [viable]
+        assert at - viable.enqueued_at < 0.05
 
 
 class TestMetrics:
@@ -349,6 +550,49 @@ class TestInferenceEngine:
         assert not errors
         assert snapshot.requests == 20
         assert snapshot.failures == 0
+
+
+class TestLingerWindowFrontEnds:
+    """Both front ends inherit the rule from the queue they share."""
+
+    @pytest.mark.parametrize("front_end", [
+        lambda graph: InferenceEngine(graph, max_latency_ms=1e3 * WINDOW),
+        lambda graph: ReplicaEngine(graph, replicas=1,
+                                    max_latency_ms=1e3 * WINDOW),
+    ], ids=["engine", "tier"])
+    def test_front_ends_answer_a_lone_request_after_idleness(
+            self, front_end, mlp_graph, mlp_feeds):
+        with front_end(mlp_graph) as engine:
+            engine.infer_sync(mlp_feeds, timeout=30)   # compiles batch 1
+            time.sleep(1.5 * WINDOW)
+            start = time.monotonic()
+            engine.infer_sync(mlp_feeds, timeout=30)
+            elapsed = time.monotonic() - start
+        assert elapsed < 0.5 * WINDOW
+
+    def test_closed_loop_still_fills_its_batches(self, mlp_graph,
+                                                 mlp_feeds):
+        # 32 outstanding, each completion lets the one generator thread
+        # send one more: the generator, not the engine, is the
+        # bottleneck, and batches of 8 form only because the queue
+        # lingers for a busy dispatcher.
+        total = 4000
+        with InferenceEngine(mlp_graph) as engine:
+            for size in range(1, 9):                   # compile 1..8
+                engine.infer_many([mlp_feeds] * size, timeout=30)
+            before = engine.metrics()
+            slots = threading.Semaphore(32)
+            futures = []
+            for _ in range(total):
+                assert slots.acquire(timeout=30)
+                future = engine.infer(mlp_feeds)
+                future.add_done_callback(lambda _: slots.release())
+                futures.append(future)
+            for future in futures:
+                future.result(timeout=30)
+            after = engine.metrics()
+        assert after.requests - before.requests == total
+        assert total / (after.batches - before.batches) >= 7.0
 
 
 class TestEngineShutdownRaces:
