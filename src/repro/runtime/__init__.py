@@ -22,6 +22,7 @@ from .plan import (
     build_shard,
     compile_node,
     compile_plan,
+    fresh_buffers,
     prepack_graph,
 )
 from .plan_cache import (
@@ -50,7 +51,7 @@ __all__ = [
     "NUM_THREADS_ENV_VAR", "WorkerPool", "get_pool", "resolve_num_threads",
     "CompiledStep", "ExecutionPlan", "PACK_FORMAT_VERSION",
     "PlanSchedule", "ShardPlan", "build_schedule", "build_shard",
-    "compile_node", "compile_plan", "prepack_graph",
+    "compile_node", "compile_plan", "fresh_buffers", "prepack_graph",
     "CacheStats", "PlanCache", "SpecializedModel",
     "default_cache_dir", "load_or_build",
     "LayerProfile", "Profiler", "ProfileResult", "profile_graph",

@@ -3,21 +3,40 @@
 The memory planner (repro.optim.memory_planner) proves how small the live
 set of a plan can be; this module makes repeated execution actually *stay*
 there.  A :class:`ScratchArena` is a pool of previously-used activation
-buffers keyed by ``(shape, dtype)``.  The executor allocates every node
-output through the arena and returns each intermediate to it the moment
-the liveness schedule declares it dead, so after a warmup run every
-"allocation" is a recycled buffer and steady-state inference performs no
-large heap allocations at all — the behaviour of a static arena on an
-embedded target (paper Sec. II-B), reproduced on the host runtime.
+buffers.  The executor allocates every node output through the arena and
+returns each intermediate to it the moment the liveness schedule declares
+it dead, so after a warmup run every "allocation" is a recycled buffer
+and steady-state inference performs no large heap allocations at all —
+the behaviour of a static arena on an embedded target (paper Sec. II-B),
+reproduced on the host runtime.
+
+Buffers are pooled by **trailing shape and dtype**; the leading extent
+(the batch axis of every activation) is a capacity, not part of the key.
+The pool holds owning *base* arrays, and :meth:`ScratchArena.alloc`
+hands out the leading-row view ``base[:n]`` — C-contiguous, starting at
+the base address, of exactly the requested shape, so a kernel cannot
+tell it from a private buffer.  A pooled base with fewer rows than a
+request is replaced by one that has enough, so capacity settles at the
+largest leading extent seen.  One arena therefore serves every batch
+size a worker runs: a batch-3 run draws views of the buffers the
+batch-8 run left behind instead of owning a second set.  Byte counters
+(``outstanding_bytes``, ``peak_bytes``, ``pooled_bytes()``) count base
+bytes — the memory actually held — not view bytes.
 
 Ownership rules keep recycling safe:
 
-* only arrays handed out by :meth:`ScratchArena.alloc` are accepted back
-  by :meth:`release` (a graph-input feed dying in the liveness schedule is
-  silently ignored, never pooled);
+* only the views handed out by :meth:`ScratchArena.alloc` are accepted
+  back by :meth:`release`, which returns the view's base to the pool (a
+  graph-input feed dying in the liveness schedule is silently ignored,
+  never pooled);
 * graph outputs are :meth:`detach`-ed before they escape to the caller,
   and can be explicitly returned later via :meth:`adopt` (what the
-  serving engine does after splitting a batch into per-request copies);
+  serving engine does after splitting a batch into per-request copies).
+  ``adopt`` takes an owning C-contiguous array or a leading-row view of
+  one — the form outputs leave in — and refuses everything else (offset
+  or reshaped views, other dtypes, non-contiguous arrays), because
+  pooling the base of such a view would alias memory the caller still
+  addresses through it;
 * an arena is **single-owner by default**: every mutating call carries a
   cheap in-use assertion, so two threads recycling through one arena
   concurrently raise :class:`ArenaOwnershipError` instead of silently
@@ -78,7 +97,8 @@ class ArenaStats:
 
 
 class ScratchArena:
-    """A free-list pool of activation buffers keyed by (shape, dtype)."""
+    """A free-list pool of activation buffers keyed by (trailing shape,
+    dtype); requests receive leading-row views (see module docs)."""
 
     def __init__(self, large_threshold: int = LARGE_ALLOCATION_BYTES) -> None:
         self.large_threshold = int(large_threshold)
@@ -86,10 +106,12 @@ class ScratchArena:
         # Incremental mirror of pooled_bytes() so peak accounting costs
         # one add per mutation instead of a free-list walk.
         self._pooled_nbytes = 0
+        # Owning base arrays, any leading extent, per pool key.
         self._free: Dict[Tuple[Tuple[int, ...], str], List[np.ndarray]] = {}
-        # Strong references to every buffer currently checked out.  Keying
-        # by id() is safe exactly because the reference is strong: an id
-        # cannot be recycled while the array it names is still held here.
+        # Strong references to every view currently checked out (a view
+        # keeps its base alive through ``.base``).  Keying by id() is
+        # safe exactly because the reference is strong: an id cannot be
+        # recycled while the array it names is still held here.
         self._issued: Dict[int, np.ndarray] = {}
         # Single-owner guard state: None until shared.  ``_active`` holds
         # the thread currently inside a mutating call; a second thread
@@ -134,54 +156,76 @@ class ScratchArena:
             self._active = None
 
     @staticmethod
-    def _key(shape, dtype) -> Tuple[Tuple[int, ...], str]:
-        return tuple(int(d) for d in shape), np.dtype(dtype).str
+    def pool_key(shape, dtype) -> Tuple[int, Tuple[Tuple[int, ...], str]]:
+        """``(rows, key)`` of a request: its leading extent and the
+        (trailing shape, dtype) pool it draws from.  A 0-d request is
+        one row of the 1-d pool."""
+        shape = tuple(int(d) for d in shape)
+        return (shape[0] if shape else 1), (shape[1:], np.dtype(dtype).str)
+
+    def _new_base(self, rows: int, key) -> np.ndarray:
+        base = np.empty((rows,) + key[0], dtype=np.dtype(key[1]))
+        self.stats.allocations += 1
+        self.stats.allocated_bytes += base.nbytes
+        if base.nbytes > self.large_threshold:
+            self.stats.large_allocations += 1
+        return base
+
+    def _pool(self, base: np.ndarray) -> None:
+        self._free.setdefault((base.shape[1:], base.dtype.str),
+                              []).append(base)
+        self._pooled_nbytes += base.nbytes
 
     def alloc(self, shape, dtype) -> np.ndarray:
         """Return an uninitialized buffer, recycled when possible."""
-        key = self._key(shape, dtype)
+        rows, key = self.pool_key(shape, dtype)
         locked = self._enter()
         try:
             free = self._free.get(key)
+            base = None
             if free:
-                buf = free.pop()
+                base = free.pop()
+                self._pooled_nbytes -= base.nbytes
+            if base is not None and base.shape[0] >= rows:
                 self.stats.reuses += 1
-                self.stats.reused_bytes += buf.nbytes
-                self._pooled_nbytes -= buf.nbytes
+                self.stats.reused_bytes += base.nbytes
             else:
-                buf = np.empty(key[0], dtype=np.dtype(key[1]))
-                self.stats.allocations += 1
-                self.stats.allocated_bytes += buf.nbytes
-                if buf.nbytes > self.large_threshold:
-                    self.stats.large_allocations += 1
-            self._issued[id(buf)] = buf
-            self.stats.outstanding_bytes += buf.nbytes
+                # A miss, or a pooled base this request has outgrown:
+                # that one is dropped, its replacement has the rows.
+                base = self._new_base(rows, key)
+            view = base[:rows]
+            if not len(shape):
+                view = view.reshape(())
+            self._issued[id(view)] = view
+            self.stats.outstanding_bytes += base.nbytes
             self._note_peak()
-            return buf
+            return view
         finally:
             self._exit(locked)
 
     def reserve(self, shape, dtype, count: int = 1) -> int:
-        """Pre-populate the free pool up to ``count`` buffers of this key.
+        """Pre-populate the free pool up to ``count`` buffers of this
+        key, each with room for ``shape``'s leading extent (pooled
+        buffers with fewer rows are replaced).
 
         Used by plan prewarm so even the first run draws recycled
         buffers.  The heap memory obtained here is counted in the
         allocation stats (it is real memory), but it is acquired before
         steady state begins.  Returns how many buffers were added.
         """
-        key = self._key(shape, dtype)
+        rows, key = self.pool_key(shape, dtype)
         locked = self._enter()
         try:
             free = self._free.setdefault(key, [])
             added = 0
+            for index, base in enumerate(free):
+                if base.shape[0] < rows:
+                    self._pooled_nbytes -= base.nbytes
+                    free[index] = base = self._new_base(rows, key)
+                    self._pooled_nbytes += base.nbytes
+                    added += 1
             while len(free) < count:
-                buf = np.empty(key[0], dtype=np.dtype(key[1]))
-                self.stats.allocations += 1
-                self.stats.allocated_bytes += buf.nbytes
-                if buf.nbytes > self.large_threshold:
-                    self.stats.large_allocations += 1
-                free.append(buf)
-                self._pooled_nbytes += buf.nbytes
+                self._pool(self._new_base(rows, key))
                 added += 1
             self._note_peak()
             return added
@@ -196,11 +240,10 @@ class ScratchArena:
             if issued is None:
                 self.stats.foreign_releases += 1
                 return False
-            self._free.setdefault(self._key(array.shape, array.dtype),
-                                  []).append(array)
+            base = issued.base
             self.stats.releases += 1
-            self.stats.outstanding_bytes -= issued.nbytes
-            self._pooled_nbytes += issued.nbytes
+            self.stats.outstanding_bytes -= base.nbytes
+            self._pool(base)
             return True
         finally:
             self._exit(locked)
@@ -211,21 +254,41 @@ class ScratchArena:
         try:
             issued = self._issued.pop(id(array), None)
             if issued is not None:
-                self.stats.outstanding_bytes -= issued.nbytes
+                self.stats.outstanding_bytes -= issued.base.nbytes
         finally:
             self._exit(locked)
 
-    def adopt(self, array: np.ndarray) -> bool:
-        """Donate a caller-owned base array to the pool (explicit recycle)."""
-        if not isinstance(array, np.ndarray) or array.base is not None \
+    @staticmethod
+    def _adoptable_base(array) -> "np.ndarray | None":
+        """The owning base ``array`` may be pooled as: itself, or the
+        base it is a leading-row view of; None for anything else."""
+        if not isinstance(array, np.ndarray) \
                 or not array.flags["C_CONTIGUOUS"]:
+            return None
+        base = array.base
+        if base is None:
+            return array if array.ndim else None
+        # A contiguous run of whole rows of ``base`` is the leading one
+        # exactly when it overlaps row 0 (a bounds test: reading either
+        # address costs several times as much).
+        if isinstance(base, np.ndarray) and base.base is None \
+                and base.ndim and base.flags["C_CONTIGUOUS"] \
+                and base.dtype == array.dtype \
+                and base.shape[1:] == array.shape[1:] \
+                and np.may_share_memory(array, base[:1]):
+            return base
+        return None
+
+    def adopt(self, array: np.ndarray) -> bool:
+        """Donate a caller-owned array to the pool (explicit recycle):
+        an owning base, or a leading-row view of one (see module docs)."""
+        base = self._adoptable_base(array)
+        if base is None:
             return False
         locked = self._enter()
         try:
-            self._free.setdefault(self._key(array.shape, array.dtype),
-                                  []).append(array)
             self.stats.releases += 1
-            self._pooled_nbytes += array.nbytes
+            self._pool(base)
             self._note_peak()
             return True
         finally:

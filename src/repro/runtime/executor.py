@@ -68,6 +68,11 @@ class Executor:
         With ``reuse_buffers``, pre-populate the scratch arena's free
         pool from the plan's activation shapes so even the first run
         allocates nothing from the heap.
+    buffers
+        With ``reuse_buffers``, run on this arena and workspace instead
+        of fresh ones.  The caller may hand the same pair to several
+        executors (the serving engine's worker does, one per batch
+        size) as long as only one of them runs at a time.
     num_threads
         Worker threads for plan execution: the plan's dependency-counted
         schedule dispatches independent steps (and row shards of wide
@@ -82,15 +87,18 @@ class Executor:
                  reuse_buffers: bool = False,
                  plan: Optional[ExecutionPlan] = None,
                  prewarm: bool = False,
-                 num_threads: Optional[int] = None) -> None:
+                 num_threads: Optional[int] = None,
+                 buffers: Optional[RunContext] = None) -> None:
         if keep_intermediates and reuse_buffers:
             raise ValueError(
                 "keep_intermediates and reuse_buffers are mutually "
                 "exclusive: kept tensors can never be recycled")
+        if buffers is not None and not reuse_buffers:
+            raise ValueError("buffers requires reuse_buffers")
         if plan is None:
             plan = compile_plan(graph)
         if reuse_buffers:
-            plan = plan.with_buffers(prewarm=prewarm)
+            plan = plan.with_buffers(prewarm=prewarm, buffers=buffers)
         self.plan: ExecutionPlan = plan
         self.graph = graph
         self.specs: Dict[str, TensorSpec] = self.plan.specs

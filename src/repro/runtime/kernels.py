@@ -132,29 +132,38 @@ def set_exact_qgemm(enabled: bool) -> bool:
 
 
 class Workspace:
-    """Reusable scratch buffers keyed by (tag, shape, dtype), plus
-    per-tag :meth:`transient` byte pools for stateless scratch.
+    """Reusable scratch buffers keyed by (tag, trailing shape, dtype),
+    plus per-tag :meth:`transient` byte pools for stateless scratch.
 
-    A kernel asks for the same scratch shape on every call, so each key
-    allocates exactly once and is then recycled for the lifetime of the
-    plan instance.  The tag separates buffers a single kernel needs
+    A kernel asks for the same trailing shape on every call and only its
+    leading extent (the batch rows) varies with the batch it runs, so the
+    key leaves the leading extent out: each key owns one base buffer,
+    grown when a call needs more rows than it has, and :meth:`get` hands
+    out the leading-row view ``base[:n]`` — C-contiguous, at the base
+    address, of exactly the requested shape.  One workspace therefore
+    serves every batch size a worker runs, at the footprint of the
+    largest.  The tag separates buffers a single kernel needs
     simultaneously (columns vs. padded input vs. accumulator); the
     implicit-GEMM conv additionally encodes the conv *geometry* in its
     tag, because its border-zeroed column buffers are initialized once
-    and may only be shared by calls that never write the border.
+    and may only be shared by calls that never write the border — the
+    trailing shape alone does not say which cells those are, so the tag
+    still has to.
 
-    Because the full key is (tag, shape, dtype), two kernels that reuse
-    a tag with different shapes or dtypes always receive **different**
-    buffers — handing back a mismatched buffer would corrupt results,
-    which the workspace regression tests guard.
+    Because the full key is (tag, trailing shape, dtype), two kernels
+    that reuse a tag with different trailing shapes or dtypes always
+    receive **different** buffers — handing back a mismatched buffer
+    would corrupt results, which the workspace regression tests guard.
 
-    ``init`` (optional) runs exactly once, when the buffer is created —
+    ``init`` (optional) runs on the whole base whenever one is created —
+    the first request of a key and every time it grows, never on a hit —
     the hook the border-zeroed column buffers use to write their zeros
     outside the per-call hot path.
 
-    ``peak_bytes`` is the high-water mark of resident scratch across the
-    workspace's lifetime (it survives :meth:`clear`), surfaced by the
-    telemetry collectors and the kernel-speed benchmark.
+    ``nbytes()`` and ``peak_bytes`` count base bytes; ``peak_bytes`` is
+    the high-water mark of resident scratch across the workspace's
+    lifetime (it survives :meth:`clear`), surfaced by the telemetry
+    collectors and the kernel-speed benchmark.
     """
 
     __slots__ = ("_buffers", "allocations", "allocated_bytes", "hits",
@@ -173,19 +182,22 @@ class Workspace:
     def get(self, shape, dtype, tag: str = "",
             init: Optional[Callable[[np.ndarray], None]] = None
             ) -> np.ndarray:
-        key = (tag, tuple(int(d) for d in shape), np.dtype(dtype).str)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(key[1], dtype=np.dtype(key[2]))
+        shape = tuple(int(d) for d in shape)
+        key = (tag, shape[1:], np.dtype(dtype).str)
+        rows = shape[0] if shape else 1
+        base = self._buffers.get(key)
+        if base is None or base.shape[0] < rows:
+            base = np.empty((rows,) + key[1], dtype=np.dtype(key[2]))
             if init is not None:
-                init(buf)
-            self._buffers[key] = buf
+                init(base)
+            self._buffers[key] = base
             self.allocations += 1
-            self.allocated_bytes += buf.nbytes
+            self.allocated_bytes += base.nbytes
             self.peak_bytes = max(self.peak_bytes, self.nbytes())
         else:
             self.hits += 1
-        return buf
+        view = base[:rows]
+        return view if shape else view.reshape(())
 
     def transient(self, shape, dtype, tag: str) -> np.ndarray:
         """Scratch that is dead when the kernel returns: a view over one
@@ -799,10 +811,11 @@ def mish(x: np.ndarray) -> np.ndarray:
     return x * np.tanh(sp)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int = -1,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=out)
 
 
 ACTIVATIONS = {

@@ -123,6 +123,10 @@ class WorkerPool:
                 # must not kill the shared worker.
                 pass
             finally:
+                # Drop the task before waiting for the next: a closure
+                # left bound here would keep its owner (an engine, its
+                # plans and arenas) alive until this thread's next task.
+                task = None
                 with self._lock:
                     self.tasks_completed += 1
 

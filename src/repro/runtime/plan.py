@@ -41,13 +41,15 @@ executor's live set never exceeds the memory planner's
 ``peak_live_bytes`` lower bound (the arena-reuse semantics of
 Sec. II-B's activation-memory study, applied to execution).
 
-A plan *instance* additionally owns a scratch arena and kernel workspace
-(:meth:`ExecutionPlan.with_buffers`): every bound kernel accepts an
-optional :class:`repro.runtime.arena.RunContext` and, when given one,
-writes its output into recycled arena buffers and draws intra-kernel
-scratch from the workspace, so steady-state inference performs no large
-allocations.  Compiled steps are immutable and shared — a worker pool
-clones cheap per-worker instances over the same steps.
+A plan *instance* additionally runs on a scratch arena and kernel
+workspace (:meth:`ExecutionPlan.with_buffers`): every bound kernel
+accepts an optional :class:`repro.runtime.arena.RunContext` and, when
+given one, writes its output into recycled arena buffers and draws
+intra-kernel scratch from the workspace, so steady-state inference
+performs no large allocations.  Compiled steps are immutable and shared —
+a worker pool clones cheap per-worker instances over the same steps, and
+one worker's instances for different batch sizes share one arena and
+workspace (buffer capacity does not depend on the batch size).
 """
 
 from __future__ import annotations
@@ -230,18 +232,23 @@ def build_schedule(steps: Sequence[CompiledStep]) -> PlanSchedule:
     )
 
 
+def fresh_buffers() -> RunContext:
+    """A new memory set: one scratch arena and one kernel workspace."""
+    return RunContext(ScratchArena(), kernels.Workspace())
+
+
 @dataclass
 class ExecutionPlan:
     """The compiled form of a graph: an ordered list of bound steps.
 
     ``packs`` holds the per-node prepacked weight arrays (empty when the
     plan was compiled with ``prepack=False``); the plan cache persists
-    exactly this mapping.  ``arena`` and ``workspace`` are per-instance
-    scratch storage (None on a freshly compiled plan);
+    exactly this mapping.  ``arena`` and ``workspace`` are the scratch
+    storage an instance runs on (None on a freshly compiled plan);
     :meth:`with_buffers` derives an instance that shares the immutable
-    compiled steps but owns fresh buffers, which is how the serving
-    engine's worker pool gets one plan instance per worker without
-    recompiling.
+    compiled steps and runs on fresh buffers or on ones handed in, which
+    is how each of the serving engine's workers runs every batch size's
+    plan on its one memory set without recompiling.
     """
 
     graph_name: str
@@ -257,40 +264,51 @@ class ExecutionPlan:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def with_buffers(self, prewarm: bool = False) -> "ExecutionPlan":
+    def with_buffers(self, prewarm: bool = False,
+                     buffers: Optional[RunContext] = None
+                     ) -> "ExecutionPlan":
         """A new plan instance sharing compiled steps, with its own
-        scratch arena and kernel workspace.
+        scratch arena and kernel workspace — or running on ``buffers``,
+        an arena and workspace the caller also runs its other plan
+        instances on, one at a time (the serving engine's worker: one
+        memory set for every batch size).
 
         With ``prewarm=True`` the arena's free pool is pre-populated with
-        one buffer per activation (shape, dtype) at its peak concurrency
-        under the release schedule, so even the *first* run draws from
-        the pool instead of the heap — the serving engine's cold-start
+        one buffer per activation pool key at its peak concurrency under
+        the release schedule, so even the *first* run draws from the
+        pool instead of the heap — the serving engine's cold-start
         smoothing.
         """
-        arena = ScratchArena()
+        if buffers is None:
+            buffers = fresh_buffers()
         if prewarm:
-            for (shape, dtype), count in self._peak_concurrency().items():
-                arena.reserve(shape, dtype, count)
+            for (trailing, dtype), (rows, count) in \
+                    self._peak_concurrency().items():
+                buffers.arena.reserve((rows,) + trailing, dtype, count)
         return ExecutionPlan(self.graph_name, self.steps, self.specs,
                              self.peak_live_bytes, packs=self.packs,
-                             schedule=self.schedule, arena=arena,
-                             workspace=kernels.Workspace())
+                             schedule=self.schedule, arena=buffers.arena,
+                             workspace=buffers.workspace)
 
-    def _peak_concurrency(self) -> Dict[Tuple[Tuple[int, ...], str], int]:
-        """Max simultaneously-live activation count per (shape, dtype),
+    def _peak_concurrency(self) -> Dict[Tuple[Tuple[int, ...], str],
+                                        Tuple[int, int]]:
+        """Per arena pool key (trailing shape, dtype): the largest
+        leading extent and the max simultaneously-live activation count,
         walking the steps against the release schedule."""
         live: Dict[str, Tuple[Tuple[int, ...], str]] = {}
         count: Dict[Tuple[Tuple[int, ...], str], int] = {}
-        peak: Dict[Tuple[Tuple[int, ...], str], int] = {}
+        peak: Dict[Tuple[Tuple[int, ...], str], Tuple[int, int]] = {}
         for step in self.steps:
             for name in step.node.outputs:
                 spec = self.specs.get(name)
                 if spec is None:
                     continue
-                key = (tuple(spec.shape), np.dtype(spec.dtype.to_numpy()).str)
+                rows, key = ScratchArena.pool_key(spec.shape,
+                                                  spec.dtype.to_numpy())
                 live[name] = key
                 count[key] = count.get(key, 0) + 1
-                peak[key] = max(peak.get(key, 0), count[key])
+                widest, most = peak.get(key, (0, 0))
+                peak[key] = (max(widest, rows), max(most, count[key]))
             for name in step.release:
                 key = live.pop(name, None)
                 if key is not None:
@@ -704,7 +722,15 @@ def _build_batchnorm(node: Node, specs, pack=None) -> KernelFn:
 @_builder("softmax")
 def _build_softmax(node: Node, specs, pack=None) -> KernelFn:
     axis = int(node.attrs.get("axis", -1))
-    return lambda args, ctx=None: [kernels.softmax(args[0], axis=axis)]
+    shape, dtype = _out_spec(node, specs)
+
+    def run(args, ctx=None):
+        # Into an arena buffer: a classifier's softmax is its graph
+        # output, and a fresh array there is one more buffer donated to
+        # the pool by every recycle().
+        out = ctx.alloc(shape, dtype) if ctx is not None else None
+        return [kernels.softmax(args[0], axis=axis, out=out)]
+    return run
 
 
 def _build_binop(ufunc):

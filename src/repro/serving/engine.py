@@ -12,13 +12,19 @@ built on the compiled-plan runtime:
   with ``num_threads > 1`` each batch's executor additionally schedules
   independent plan steps (and row shards of wide steps) onto the *same*
   pool.  One pool serves both levels; there are no ad-hoc threads;
-* every plan instance owns a scratch arena and kernel workspace
-  (``reuse_buffers``), so steady-state serving performs no large heap
-  allocations: batch results are split into per-request copies and the
-  batch buffers immediately recycled.
+* every worker owns exactly one memory set — one scratch arena and one
+  kernel workspace (``reuse_buffers``) — that all of its per-batch-size
+  executors run on: buffer capacity grows to the largest batch the
+  worker has actually seen and smaller batches draw leading-row views
+  of the same buffers, so the engine's footprint is ``workers`` sets,
+  not one per batch size, and steady-state serving performs no large
+  heap allocations: batch results are split into per-request copies and
+  the batch buffers immediately recycled.
 
 Plans are compiled once per observed batch size and shared: workers hold
-cheap ``with_buffers()`` instances over the same immutable compiled steps.
+cheap ``with_buffers()`` instances over the same immutable compiled
+steps, and the prepacked weights are built once — every later batch
+size binds its kernels to the first plan's packs.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ir.graph import Graph
-from ..runtime.arena import ArenaStats
+from ..runtime.arena import ArenaStats, RunContext
 from ..runtime.executor import Executor
 from ..runtime.parallel import get_pool, resolve_num_threads
-from ..runtime.plan import ExecutionPlan, compile_plan
+from ..runtime.plan import ExecutionPlan, compile_plan, fresh_buffers
 from ..telemetry import collectors as _telemetry
 from ..telemetry.tracing import RequestTrace, Tracer
 from .batcher import (
@@ -108,6 +114,21 @@ def check_sample(input_specs: Mapping[str, "object"],
     if extra:
         raise ValueError(f"unknown feed tensors: {sorted(extra)}")
     return sample
+
+
+class _Worker:
+    """One memory set and the executors that run on it, one per batch
+    size the worker has served.  One batch runs on a worker at a time,
+    so the arena stays single-owner.  Executors hold no reference back
+    to their worker: the bookkeeping is acyclic, and a closed engine's
+    buffers are freed by refcount, not by a later collection."""
+
+    __slots__ = ("buffers", "executors")
+
+    def __init__(self, reuse_buffers: bool) -> None:
+        self.buffers: Optional[RunContext] = (
+            fresh_buffers() if reuse_buffers else None)
+        self.executors: Dict[int, Executor] = {}
 
 
 class InferenceEngine:
@@ -250,11 +271,12 @@ class InferenceEngine:
         # Compiled base plans shared across workers, keyed by batch size.
         self._compile_lock = threading.Lock()
         self._compiled: Dict[int, Tuple[Graph, ExecutionPlan]] = {}
-        # Checked-in executors per batch size, plus every executor ever
-        # created (for aggregate arena stats).
+        # Idle workers, plus every worker ever created (at most
+        # ``workers``: the slot semaphore bounds how many are out), for
+        # aggregate arena stats.
         self._pool_lock = threading.Lock()
-        self._free: Dict[int, List[Executor]] = {}
-        self._executors: List[Executor] = []
+        self._idle: List[_Worker] = []
+        self._workers: List[_Worker] = []
         # A worker slot must be free before the dispatcher forms a batch;
         # otherwise it would drain the queue into the shared pool's
         # backlog and lose every coalescing opportunity.
@@ -340,17 +362,17 @@ class InferenceEngine:
         arena_stats = ArenaStats()
         workspace_allocations = 0
         with self._pool_lock:
-            executors = list(self._executors)
-        for executor in executors:
-            arena = executor.plan.arena
-            if arena is not None:
-                arena_stats.allocations += arena.stats.allocations
-                arena_stats.allocated_bytes += arena.stats.allocated_bytes
-                arena_stats.large_allocations += arena.stats.large_allocations
-                arena_stats.reuses += arena.stats.reuses
-                arena_stats.reused_bytes += arena.stats.reused_bytes
-            if executor.plan.workspace is not None:
-                workspace_allocations += executor.plan.workspace.allocations
+            workers = list(self._workers)
+        for worker in workers:
+            if worker.buffers is None:
+                continue
+            stats = worker.buffers.arena.stats
+            arena_stats.allocations += stats.allocations
+            arena_stats.allocated_bytes += stats.allocated_bytes
+            arena_stats.large_allocations += stats.large_allocations
+            arena_stats.reuses += stats.reuses
+            arena_stats.reused_bytes += stats.reused_bytes
+            workspace_allocations += worker.buffers.workspace.allocations
         with self._compile_lock:
             cache_hits, cache_misses = self._cache_hits, self._cache_misses
         return self.recorder.snapshot(
@@ -460,26 +482,35 @@ class InferenceEngine:
                         self._cache_misses += 1
                     entry = (model.graph, model.plan)
                 else:
-                    entry = (graph, compile_plan(graph))
+                    # Prepacked weights do not depend on the batch size:
+                    # build them once, bind every later size to them.
+                    packs = next((plan.packs for _, plan
+                                  in self._compiled.values()), None)
+                    entry = (graph, compile_plan(graph, packs=packs))
                 self._compiled[batch] = entry
             return entry
 
-    def _checkout(self, batch: int) -> Executor:
+    def _checkout(self) -> _Worker:
         with self._pool_lock:
-            free = self._free.get(batch)
-            if free:
-                return free.pop()
-        graph, plan = self._base_plan(batch)
-        executor = Executor(graph, reuse_buffers=self.reuse_buffers,
-                            plan=plan, prewarm=self.prewarm,
-                            num_threads=self.num_threads)
-        with self._pool_lock:
-            self._executors.append(executor)
-        return executor
+            if self._idle:
+                return self._idle.pop()
+            worker = _Worker(self.reuse_buffers)
+            self._workers.append(worker)
+            return worker
 
-    def _checkin(self, batch: int, executor: Executor) -> None:
+    def _checkin(self, worker: _Worker) -> None:
         with self._pool_lock:
-            self._free.setdefault(batch, []).append(executor)
+            self._idle.append(worker)
+
+    def _executor_for(self, worker: _Worker, batch: int) -> Executor:
+        executor = worker.executors.get(batch)
+        if executor is None:
+            graph, plan = self._base_plan(batch)
+            executor = worker.executors[batch] = Executor(
+                graph, reuse_buffers=self.reuse_buffers, plan=plan,
+                prewarm=self.prewarm, num_threads=self.num_threads,
+                buffers=worker.buffers)
+        return executor
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -526,8 +557,9 @@ class InferenceEngine:
         task_t0 = time.perf_counter() if self.latency_model is not None \
             else 0.0
         try:
-            executor = self._checkout(size)
+            worker = self._checkout()
             try:
+                executor = self._executor_for(worker, size)
                 if size == 1:
                     feeds = requests[0].feeds
                 else:
@@ -562,7 +594,7 @@ class InferenceEngine:
                 ]
                 executor.recycle(outputs)
             finally:
-                self._checkin(size, executor)
+                self._checkin(worker)
         except BaseException as exc:
             self._fail_batch(requests, exc, traces=traces)
             return

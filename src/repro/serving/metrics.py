@@ -78,7 +78,8 @@ class MetricsSnapshot:
     # misses) among recent completions — the signal the load-shedding
     # admission controller keys on.
     miss_rate: float = 0.0
-    # Allocation behaviour aggregated over the engine's plan instances:
+    # Allocation behaviour aggregated over the engine's workers (each
+    # arena and workspace counted once, whatever batch sizes ran on it):
     # a warmed-up engine shows flat allocation counts and growing reuses.
     arena_allocations: int = 0
     arena_large_allocations: int = 0

@@ -11,8 +11,9 @@ Architecture
 ------------
 
 * **Replica processes.**  ``N`` executor processes, each owning its own
-  compiled plan, scratch arena, and kernel workspace — no shared Python
-  state, no GIL contention, private caches.  A replica is a tight loop:
+  compiled plans and one scratch arena and kernel workspace that every
+  batch size's plan runs on — no shared Python state, no GIL
+  contention, private caches.  A replica is a tight loop:
   receive a batch frame, run the plan, send the results back.
 
 * **Zero-copy shared weights.**  Replicas never receive weights over the
@@ -105,7 +106,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ir.graph import Graph
+from ..runtime.arena import ArenaStats
 from ..runtime.executor import Executor
+from ..runtime.plan import fresh_buffers
 from ..runtime.plan_cache import PlanCache, default_cache_dir, load_or_build
 from ..telemetry import collectors as _telemetry
 from ..telemetry.clock import (
@@ -477,6 +480,10 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
 
     requests = batches = failures = 0
     cache = PlanCache(spec.cache_dir)
+    # One memory set for the whole replica: every batch size's executor
+    # runs on it (one frame at a time), so the footprint is that of the
+    # largest batch seen, not the sum over sizes.
+    buffers = fresh_buffers() if spec.reuse_buffers else None
     executors: Dict[int, Executor] = {}
 
     def _executor_for(batch: int) -> Executor:
@@ -494,18 +501,14 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
             graph, plan = loaded
             executor = Executor(graph, plan=plan,
                                 reuse_buffers=spec.reuse_buffers,
-                                num_threads=spec.num_threads)
+                                num_threads=spec.num_threads,
+                                buffers=buffers)
             executors[batch] = executor
         return executor
 
     def _stats() -> Tuple[int, int, int, int, int]:
-        allocations = reuses = 0
-        for executor in executors.values():
-            arena = executor.plan.arena
-            if arena is not None:
-                allocations += arena.stats.allocations
-                reuses += arena.stats.reuses
-        return (requests, batches, failures, allocations, reuses)
+        arena = buffers.arena.stats if buffers is not None else ArenaStats()
+        return (requests, batches, failures, arena.allocations, arena.reuses)
 
     attachment: Optional[ShmAttachment] = None
     try:
