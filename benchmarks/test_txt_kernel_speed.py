@@ -4,14 +4,15 @@ PR 7 rebuilt the convolution lowering three ways: the float path feeds
 geometry-tagged column buffers (border-zeroed once, in-bounds patches
 gathered per call) straight to the GEMM instead of materializing a
 padded copy first; the quantized path runs its integer GEMM exactly in
-float64 BLAS panels sized to the L2 budget (`QGEMM_PANEL_BYTES`)
-instead of int32 `matmul`; and the layout-planner pass converts
+BLAS panels sized to the L2 budget (`QGEMM_PANEL_BYTES`; float64 in
+PR 7, float32 over proven reduction chunks since PR 23) instead of
+int32 `matmul`; and the layout-planner pass converts
 quantized conv regions to NHWC between boundary transposes.  All three
 are bitwise-identical to the seed paths — speed is the only thing that
 may change, and this benchmark is the CI guard on it:
 
 1. *quantized conv throughput* (tiny_yolo int8, single core, arena
-   steady state): exact blocked f64 GEMM vs. the seed int32 path.
+   steady state): exact blocked float GEMM vs. the seed int32 path.
    Guarded at >= 1.3x — the headline win of this PR.
 2. *float conv throughput* (tiny_yolo fp32): implicit-GEMM vs. seed
    materialized im2col.  The float GEMM call itself is unchanged, so the
@@ -76,7 +77,7 @@ def _interleaved(executors, feeds):
 
 
 def quantized_conv_study():
-    """Exact blocked f64 quantized GEMM vs. the seed int32 path."""
+    """Exact blocked float quantized GEMM vs. the seed int32 path."""
     rng = np.random.default_rng(0)
     base = fuse_graph(build_model(MODEL, batch=1))
     shape = tuple(base.inputs[0].shape)
@@ -213,7 +214,7 @@ def render(quant, flt, build, inter):
         f"quantized conv throughput ({quant['model']}, 1 core)",
         f"  seed int32 path:  {quant['seed_us']:>10.1f} us/run "
         f"({quant['seed_fps']:.0f} fps)",
-        f"  exact f64 blocked:{quant['exact_us']:>10.1f} us/run "
+        f"  exact blocked:    {quant['exact_us']:>10.1f} us/run "
         f"({quant['exact_fps']:.0f} fps)",
         f"  speedup:          {quant['speedup']:>10.2f}x  (guard >= 1.30x)",
         f"float conv throughput ({flt['model']}, 1 core)",

@@ -17,34 +17,45 @@ formulations on the conv hot path:
   :func:`set_conv_mode`) selects the reference path: pad-buffer copy plus
   full strided gather, kept as the equivalence oracle for the property
   tests and benchmarks.
-* **Exact blocked integer GEMM** (:func:`qconv2d_acc`,
-  :func:`qdense_acc`).  int8 x int8 products are at most ``127 * 128``
-  and the guarded reduction width keeps every partial sum far below
-  ``2**53``, so a float64 GEMM computes the *exact* integer accumulator
-  regardless of summation order — which makes it bitwise-safe to run the
-  quantized matmuls through BLAS (numpy's integer matmul has no BLAS
-  path) and to tile them over L2-sized column panels
-  (``QGEMM_PANEL_BYTES``).  The same argument holds in float32 for a
-  layer whose weights satisfy ``255 * max_row sum|w| < 2**24``
-  (``EXACT_F32_BOUND``): the prepacker proves that per layer and stores
-  the pack as float32, and the kernels compute in whatever dtype the
-  pack carries (sgemm, half the gather traffic).  Reductions wider than
+* **Exact float32 integer GEMM** (:func:`exact_gemm`, behind
+  :func:`qconv2d_acc`, :func:`qconv2d_acc_nhwc` and :func:`qdense_acc`).
+  The quantized accumulators are integers, and an sgemm whose every
+  partial sum — in any BLAS blocking or FMA grouping — is an integer
+  below ``2**24`` (``EXACT_F32_BOUND``) computes them *exactly*, whatever
+  the summation order.  That makes it bitwise-safe to run the quantized
+  matmuls through BLAS (numpy's integer matmul has no BLAS path) and to
+  re-block them freely.  The prepacker proves the bound per layer:
+  operands are ``q - z`` in [-255, 255], so a partial sum of one output
+  is at most ``255 * sum|w|`` over the part of that output's weight row
+  it covers, and the pack carries ``k_bounds``, the fewest equal chunks
+  of the reduction axis for which every chunk of every row stays under
+  the bound (one chunk for most layers).  Each chunk is one sgemm; the
+  chunk results are exact integers, and their sum is taken in float64,
+  where integers are exact below ``2**53`` — far above what the guarded
+  reduction width (``EXACT_GEMM_MAX_REDUCE``) can reach.  Three
+  re-blockings ride on the proof: the reduction split itself, L2-sized
+  output panels (``QGEMM_PANEL_BYTES``), and the *batch fold* — a conv
+  whose per-sample output plane is narrow (``QCONV_FOLD_MAX_PLANE``)
+  gathers the whole batch into one ``(K, n*oh*ow)`` column matrix and
+  runs one wide GEMM instead of ``n`` skinny ones.  Reductions wider than
   ``EXACT_GEMM_MAX_REDUCE`` fall back to the int32 reference path, whose
   wrap-on-overflow semantics a float GEMM would not reproduce.
 
-Split-K (splitting the *reduction* axis of a float GEMM) remains
-forbidden everywhere: it reassociates floating-point accumulation and is
-not bitwise-safe.  The integer paths may tile only because their
-arithmetic is exact; the float conv never splits or re-blocks its GEMM —
-the implicit path changes how the column buffer is *filled*, never the
-GEMM call itself.
+Split-K (splitting the *reduction* axis of a GEMM) remains forbidden for
+every *float* conv and dense: it reassociates floating-point accumulation
+and is not bitwise-safe, and neither is folding a batch into one float
+GEMM (OpenBLAS picks kernels by shape).  The prohibition is lifted only
+for the exact-integer GEMMs above, and only under the per-chunk proof:
+there is no rounding to reassociate.  The float conv never splits or
+re-blocks its GEMM — the implicit path changes how the column buffer is
+*filled*, never the GEMM call itself.
 
 Every hot kernel additionally accepts scratch buffers so the serving
 engine's steady-state path performs no large allocations: ``out=`` receives
 a preallocated destination (normally from a plan's
 :class:`repro.runtime.arena.ScratchArena`) and ``workspace=`` a
 :class:`Workspace` holding reusable intra-kernel scratch (column buffers,
-fp32 accumulators, f64 GEMM panels) keyed by (tag, shape, dtype).  The
+fp32 accumulators, GEMM chunk partials) keyed by (tag, shape, dtype).  The
 scratch variants are bitwise-identical to the allocating path: both sides
 run the same ufunc/BLAS calls in the same order, only the destination
 differs.
@@ -72,26 +83,36 @@ def _pair(value) -> Tuple[int, int]:
 # equivalence oracle: the property tests and the Txt-P benchmark flip
 # them to compare the fast paths against the classic ones bit for bit.
 
-# Widest reduction (C*kh*kw or K) the exact float64 integer GEMM accepts.
-# int8 products are <= 127*128 = 16256, so K = 2**16 bounds every partial
-# sum below 2**30.6 * ... well below 2**53 — the dgemm result is the exact
-# integer.  Beyond this the int32 reference path runs instead: its
-# wrap-on-overflow semantics are part of the observable behaviour and
-# float64 would not reproduce them.  Matches
+# Widest reduction (C*kh*kw or K) the exact integer GEMM accepts.  int8
+# products are <= 127*128 = 16256, so K = 2**16 bounds every accumulator
+# below 2**31 — the float64 sum over reduction chunks is the exact
+# integer (far below 2**53) and the int32 reference cannot overflow
+# either.  Beyond this the int32 reference path runs instead: its
+# wrap-on-overflow semantics are part of the observable behaviour and a
+# float GEMM would not reproduce them.  Matches
 # quantized.ZERO_POINT_ROW_TERM_MAX_REDUCE.
 EXACT_GEMM_MAX_REDUCE = 1 << 16
 
 # A quantized GEMM is exact in float32 when every partial sum, in any BLAS
 # blocking or FMA grouping, is an integer below 2**24.  The activation
 # operand is q - z in [-255, 255] (or a raw code, smaller still), so any
-# partial sum of one output is bounded by 255 * sum|w| over that output's
-# weight row; the prepacker checks the widest row against this bound.
+# partial sum of one output is bounded by 255 * sum|w| over the stretch
+# of that output's weight row being reduced; the prepacker splits the
+# reduction axis (``k_bounds``) until every stretch is under this bound.
 EXACT_F32_BOUND = 1 << 24
 
 # Target panel size (bytes of accumulator columns) for the
 # cache-blocked quantized GEMMs.  512 KiB keeps one panel of columns plus
 # the weight pack stripe resident in a typical 1 MiB L2.
 QGEMM_PANEL_BYTES = 1 << 19
+
+# Widest per-sample output plane (oh*ow) for which qconv2d_acc folds the
+# batch into the GEMM's column axis.  Below it a per-sample GEMM is a
+# skinny (out_c x K)·(K x oh*ow) product that re-streams the whole weight
+# pack for a few dozen columns; folded, the pack is read once for n*oh*ow
+# columns.  Above it the per-sample GEMMs are already wide enough to run
+# at BLAS speed and the panel path keeps their columns cache-resident.
+QCONV_FOLD_MAX_PLANE = 256
 
 _CONV_MODES = ("implicit", "im2col")
 
@@ -119,7 +140,7 @@ def set_conv_mode(mode: str) -> str:
 
 
 def exact_qgemm_enabled() -> bool:
-    """Whether prepacking may emit float64 exact-GEMM quantized packs."""
+    """Whether prepacking may emit exact-GEMM quantized packs."""
     return _exact_qgemm
 
 
@@ -548,35 +569,92 @@ def dense(data: np.ndarray, weight: np.ndarray, bias=None,
 #
 # The quantized matmuls accumulate integers, and integer accumulation is
 # exact under any grouping — so unlike the float GEMMs these may be
-# tiled into cache-sized panels and still produce bit-identical int32
-# accumulators.  Running them as BLAS GEMMs is what makes them fast:
-# numpy's integer matmul has no BLAS path.  Exactness holds in float64
-# because every product is an integer of magnitude <= 255 * 128 and the
-# reduction width is capped at EXACT_GEMM_MAX_REDUCE, keeping all
-# partial sums far below 2**53 — and in float32 for the layers whose
-# pack the prepacker proved under EXACT_F32_BOUND.  The kernels take the
-# compute dtype from the weight pack: shifted input, columns, panels and
-# accumulator all live in it.
+# re-blocked (output panels, reduction chunks, batch fold) and still
+# produce bit-identical accumulators.  Running them as BLAS GEMMs is what
+# makes them fast: numpy's integer matmul has no BLAS path.  Every GEMM
+# below goes through exact_gemm, in float32, over the reduction chunks
+# the prepacker proved exact (see the module docstring): shifted input,
+# columns and chunk results live in float32, and only a layer that needs
+# more than one chunk carries a float64 accumulator.
 
 
-def qconv2d_acc(q_data: np.ndarray, w2: np.ndarray, kernel, stride,
-                padding, input_zero: int = 0,
+def exact_acc_dtype(k_bounds) -> np.dtype:
+    """Accumulator dtype :func:`exact_gemm` writes for ``k_bounds``:
+    float32 holds a single proven chunk exactly; the sum over several
+    chunks may pass ``EXACT_F32_BOUND`` and is kept in float64."""
+    return np.dtype(np.float32 if len(k_bounds) == 2 else np.float64)
+
+
+def exact_gemm(a: np.ndarray, b: np.ndarray, k_bounds, out: np.ndarray,
+               workspace: Optional[Workspace] = None) -> np.ndarray:
+    """``out[...] = a @ b`` for integer-valued float32 operands, exactly.
+
+    The reduction axis (``a``'s last, ``b``'s second to last) is cut at
+    ``k_bounds`` — ``[0, ..., K]``, the chunks within which the
+    prepacker proved every partial sum an integer below
+    ``EXACT_F32_BOUND``.  Each chunk is one sgemm whose result is
+    therefore exact in any BLAS blocking; chunk results are summed in
+    the float64 ``out`` (exact below ``2**53``).  A single chunk writes
+    the float32 ``out`` directly.  ``out`` must be of
+    :func:`exact_acc_dtype`; it may be a strided view with a unit inner
+    stride (BLAS takes the row stride as ``ldc``).
+    """
+    if k_bounds[0] != 0 or k_bounds[-1] != a.shape[-1]:
+        raise ValueError(f"k_bounds {tuple(k_bounds)} do not span the "
+                         f"reduction axis of width {a.shape[-1]}")
+    acc_dtype = exact_acc_dtype(k_bounds)
+    if out.dtype != acc_dtype:
+        raise ValueError(f"{len(k_bounds) - 1}-chunk exact GEMM needs a "
+                         f"{acc_dtype} accumulator, got {out.dtype}")
+    if len(k_bounds) == 2:
+        return np.matmul(a, b, out=out)
+    part = scratch(workspace, out.shape, np.float32, "qchunk")
+    for k0, k1 in zip(k_bounds[:-1], k_bounds[1:]):
+        np.matmul(a[..., k0:k1], b[..., k0:k1, :], out=part)
+        if k0 == 0:
+            np.copyto(out, part)
+        else:
+            np.add(out, part, out=out)
+    return out
+
+
+def _shifted(q_data: np.ndarray, input_zero: int,
+             workspace: Optional[Workspace], tag: str) -> np.ndarray:
+    """``q - z`` in float32 scratch, or the raw codes when ``z`` is 0
+    (the gather's slice assignment converts them)."""
+    if not input_zero:
+        return q_data
+    src = scratch(workspace, q_data.shape, np.float32, tag)
+    np.subtract(q_data, float(input_zero), out=src, dtype=np.float32)
+    return src
+
+
+def qconv2d_acc(q_data: np.ndarray, w2: np.ndarray, k_bounds, kernel,
+                stride, padding, input_zero: int = 0,
                 workspace: Optional[Workspace] = None) -> np.ndarray:
     """Exact conv accumulator (N, out_c, oh, ow) via blocked BLAS GEMM.
 
     ``q_data`` is the raw int8/uint8 NCHW activation; ``w2`` the
-    prepacked (out_c, C*kh*kw) integer-valued weight matrix, float64 or
-    — under the prepacker's exactness proof — float32; the accumulator
-    comes back in the same dtype.
+    prepacked (out_c, C*kh*kw) integer-valued float32 weight matrix and
+    ``k_bounds`` the reduction chunks proven exact for it (see
+    :func:`exact_gemm`); the accumulator comes back in
+    :func:`exact_acc_dtype`.
     With ``input_zero`` the zero point is subtracted *before* the gather,
     so zero padding enters the columns as shifted-domain zeros — exactly
     the reference path's subtract-then-pad semantics.  With
     ``input_zero=0`` the raw codes are gathered directly (the caller
     corrects via the hoisted zero-point row term).
 
-    The accumulation is tiled over output-row panels of roughly
-    ``QGEMM_PANEL_BYTES`` of columns; every panel GEMM computes exact
-    integers, so the blocking is bitwise-invisible.
+    A batch of narrow output planes (``oh*ow <= QCONV_FOLD_MAX_PLANE``)
+    is *folded*: the columns of all ``n`` samples are gathered side by
+    side into one (K, n*oh*ow) matrix and one GEMM computes them, so the
+    weight pack is streamed once instead of ``n`` times.  The result is
+    then the (N, out_c, oh, ow) *transposed view* of an (out_c, N, oh,
+    ow) buffer — requantization's first ufunc reads it once and writes
+    contiguous memory.  Otherwise the accumulation is tiled over
+    output-row panels of roughly ``QGEMM_PANEL_BYTES`` of columns.
+    Every GEMM computes exact integers, so none of the re-blocking can
+    change a bit.
     """
     kernel = _pair(kernel)
     stride = _pair(stride)
@@ -589,50 +667,60 @@ def qconv2d_acc(q_data: np.ndarray, w2: np.ndarray, kernel, stride,
     ow = (w + 2 * pw - kw) // sw + 1
     out_c = w2.shape[0]
     k = c * kh * kw
-    compute = w2.dtype
     padded = bool(ph or pw)
-    if input_zero:
-        src = scratch(workspace, q_data.shape, compute, "qshift")
-        np.subtract(q_data, float(input_zero), out=src, dtype=compute)
-    else:
-        src = q_data
-    acc = scratch(workspace, (n, out_c, oh, ow), compute, "qacc")
+    src = _shifted(q_data, input_zero, workspace, "qshift")
+    acc_dtype = exact_acc_dtype(k_bounds)
+    if n > 1 and oh * ow <= QCONV_FOLD_MAX_PLANE:
+        # Transient scratch, zeroed per call: where a sample's padding
+        # cells sit in the (K, n*oh*ow) layout depends on n, so a buffer
+        # border-zeroed once could not serve two batch sizes.
+        cols = scratch(workspace, (c, kh, kw, n, oh, ow), np.float32,
+                       "fcols")
+        if padded:
+            cols.fill(0)
+        _gather_cols(src, cols.transpose(3, 0, 1, 2, 4, 5), kernel, stride,
+                     padding)
+        acc = scratch(workspace, (out_c, n, oh, ow), acc_dtype, "qacc")
+        exact_gemm(w2, cols.reshape(k, n * oh * ow), k_bounds,
+                   acc.reshape(out_c, n * oh * ow), workspace)
+        return acc.transpose(1, 0, 2, 3)
+    acc = scratch(workspace, (n, out_c, oh, ow), acc_dtype, "qacc")
     acc3 = acc.reshape(n, out_c, oh * ow)
-    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES
-                            // max(1, k * ow * compute.itemsize)))
+    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES // max(1, k * ow * 4)))
     if panel_rows >= oh:
         cols = _implicit_cols(src, kernel, stride, padding, oh, ow,
-                              compute, workspace)
-        np.matmul(w2, cols, out=acc3)
+                              np.float32, workspace)
+        exact_gemm(w2, cols, k_bounds, acc3, workspace)
         return acc
     for r0 in range(0, oh, panel_rows):
         rows = min(panel_rows, oh - r0)
         m = rows * ow
-        cbuf = scratch(workspace, (n, c, kh, kw, rows, ow), compute, "qcols")
-        pbuf = scratch(workspace, (n, out_c, m), compute, "qpanel")
+        cbuf = scratch(workspace, (n, c, kh, kw, rows, ow), np.float32,
+                       "qcols")
         if padded:
             cbuf.fill(0)
         _gather_cols(src, cbuf, kernel, stride, padding, row_offset=r0)
-        np.matmul(w2, cbuf.reshape(n, k, m), out=pbuf)
-        acc3[:, :, r0 * ow:r0 * ow + m] = pbuf
+        exact_gemm(w2, cbuf.reshape(n, k, m), k_bounds,
+                   acc3[:, :, r0 * ow:r0 * ow + m], workspace)
     return acc
 
 
-def qdense_acc(q_data: np.ndarray, wt: np.ndarray, input_zero: int = 0,
+def qdense_acc(q_data: np.ndarray, wt: np.ndarray, k_bounds,
+               input_zero: int = 0,
                workspace: Optional[Workspace] = None) -> np.ndarray:
     """Exact dense accumulator (..., out): ``(q - z) @ wt``.
 
-    ``wt`` is the prepacked (in, out) transposed weight, float64 or
-    proven-exact float32 (the accumulator takes its dtype).  The GEMM is
-    tiled over output-column panels; integer-exact, so blocking never
-    changes a bit of the accumulator.
+    ``wt`` is the prepacked (in, out) transposed float32 weight and
+    ``k_bounds`` its proven reduction chunks (see :func:`exact_gemm`).
+    The GEMM is tiled over output-column panels; integer-exact, so
+    blocking never changes a bit of the accumulator.
     """
     in_dim = q_data.shape[-1]
     out_dim = wt.shape[1]
-    compute = wt.dtype
-    a = scratch(workspace, q_data.shape, compute, "qdense_in")
-    np.subtract(q_data, float(input_zero), out=a, dtype=compute)
-    acc = scratch(workspace, q_data.shape[:-1] + (out_dim,), compute,
+    a = scratch(workspace, q_data.shape, np.float32, "qdense_in")
+    np.subtract(q_data, float(input_zero), out=a, dtype=np.float32)
+    acc_dtype = exact_acc_dtype(k_bounds)
+    acc = scratch(workspace, q_data.shape[:-1] + (out_dim,), acc_dtype,
                   "qdense_acc")
     m = 1
     for dim in q_data.shape[:-1]:
@@ -640,13 +728,10 @@ def qdense_acc(q_data: np.ndarray, wt: np.ndarray, input_zero: int = 0,
     a2 = a.reshape(m, in_dim)
     acc2 = acc.reshape(m, out_dim)
     panel_cols = max(1, min(out_dim, QGEMM_PANEL_BYTES
-                            // max(1, m * compute.itemsize)))
-    if panel_cols >= out_dim:
-        np.matmul(a2, wt, out=acc2)
-        return acc
+                            // max(1, m * acc_dtype.itemsize)))
     for c0 in range(0, out_dim, panel_cols):
         c1 = min(out_dim, c0 + panel_cols)
-        np.matmul(a2, wt[:, c0:c1], out=acc2[:, c0:c1])
+        exact_gemm(a2, wt[:, c0:c1], k_bounds, acc2[:, c0:c1], workspace)
     return acc
 
 
@@ -684,14 +769,15 @@ def _gather_cols_nhwc(data: np.ndarray, cols6: np.ndarray, kernel, stride,
                      x0:x0 + (xcnt - 1) * sw + 1:sw, :]
 
 
-def qconv2d_acc_nhwc(q_data: np.ndarray, w_pack: np.ndarray, kernel, stride,
-                     padding, input_zero: int = 0,
+def qconv2d_acc_nhwc(q_data: np.ndarray, w_pack: np.ndarray, k_bounds,
+                     kernel, stride, padding, input_zero: int = 0,
                      workspace: Optional[Workspace] = None) -> np.ndarray:
     """Exact NHWC conv accumulator (N, oh, ow, out_c).
 
-    ``q_data`` is NHWC int8/uint8; ``w_pack`` the (kh*kw*C, out_c) weight
-    pack whose rows follow the NHWC gather order.  Same zero-point,
-    compute-dtype and panel-blocking contract as :func:`qconv2d_acc`.
+    ``q_data`` is NHWC int8/uint8; ``w_pack`` the (kh*kw*C, out_c)
+    float32 weight pack whose rows follow the NHWC gather order, and
+    ``k_bounds`` its proven reduction chunks.  Same zero-point,
+    exactness and panel-blocking contract as :func:`qconv2d_acc`.
     """
     kernel = _pair(kernel)
     stride = _pair(stride)
@@ -704,41 +790,36 @@ def qconv2d_acc_nhwc(q_data: np.ndarray, w_pack: np.ndarray, kernel, stride,
     ow = (w + 2 * pw - kw) // sw + 1
     out_c = w_pack.shape[1]
     k = kh * kw * c
-    compute = w_pack.dtype
     padded = bool(ph or pw)
-    if input_zero:
-        src = scratch(workspace, q_data.shape, compute, "qshift_nhwc")
-        np.subtract(q_data, float(input_zero), out=src, dtype=compute)
-    else:
-        src = q_data
-    acc = scratch(workspace, (n, oh, ow, out_c), compute, "qacc_nhwc")
-    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES
-                            // max(1, k * ow * compute.itemsize)))
+    src = _shifted(q_data, input_zero, workspace, "qshift_nhwc")
+    acc = scratch(workspace, (n, oh, ow, out_c), exact_acc_dtype(k_bounds),
+                  "qacc_nhwc")
+    acc3 = acc.reshape(n, oh * ow, out_c)
+    panel_rows = max(1, min(oh, QGEMM_PANEL_BYTES // max(1, k * ow * 4)))
     if panel_rows >= oh:
         shape6 = (n, oh, ow, kh, kw, c)
         if workspace is not None:
             tag = f"qcols_nhwc:{h}x{w}:k{kh}x{kw}:s{sh}x{sw}:p{ph}x{pw}"
             init = (lambda buf: buf.fill(0)) if padded else None
-            cols = workspace.get(shape6, compute, tag, init=init)
+            cols = workspace.get(shape6, np.float32, tag, init=init)
         elif padded:
-            cols = np.zeros(shape6, dtype=compute)
+            cols = np.zeros(shape6, dtype=np.float32)
         else:
-            cols = np.empty(shape6, dtype=compute)
+            cols = np.empty(shape6, dtype=np.float32)
         _gather_cols_nhwc(src, cols, kernel, stride, padding)
-        np.matmul(cols.reshape(n, oh * ow, k), w_pack,
-                  out=acc.reshape(n, oh * ow, out_c))
+        exact_gemm(cols.reshape(n, oh * ow, k), w_pack, k_bounds, acc3,
+                   workspace)
         return acc
     for r0 in range(0, oh, panel_rows):
         rows = min(panel_rows, oh - r0)
         m = rows * ow
-        cbuf = scratch(workspace, (n, rows, ow, kh, kw, c), compute,
+        cbuf = scratch(workspace, (n, rows, ow, kh, kw, c), np.float32,
                        "qcols_nhwc_panel")
-        pbuf = scratch(workspace, (n, m, out_c), compute, "qpanel_nhwc")
         if padded:
             cbuf.fill(0)
         _gather_cols_nhwc(src, cbuf, kernel, stride, padding, row_offset=r0)
-        np.matmul(cbuf.reshape(n, m, k), w_pack, out=pbuf)
-        acc[:, r0:r0 + rows] = pbuf.reshape(n, rows, ow, out_c)
+        exact_gemm(cbuf.reshape(n, m, k), w_pack, k_bounds,
+                   acc3[:, r0 * ow:r0 * ow + m], workspace)
     return acc
 
 
@@ -1009,8 +1090,16 @@ def avgpool2d_nhwc(data: np.ndarray, kernel, stride=None, padding=0,
                    out=out, workspace=workspace, axes=(1, 2))
 
 
-def global_avgpool2d(data: np.ndarray) -> np.ndarray:
-    return data.mean(axis=(2, 3), keepdims=True)
+def global_avgpool2d(data: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    if out is None:
+        return data.mean(axis=(2, 3), keepdims=True)
+    if data.dtype == np.float16:
+        # np.mean sums fp16 in float32 and rounds once at the end; given
+        # an fp16 ``out`` it would round the sum too.
+        out[...] = data.mean(axis=(2, 3), keepdims=True)
+        return out
+    return np.mean(data, axis=(2, 3), keepdims=True, out=out)
 
 
 def upsample2d(data: np.ndarray, scale: int,

@@ -21,8 +21,9 @@ Exact-GEMM-eligible quantized nodes (single group, reduction within
 ``kernels.EXACT_GEMM_MAX_REDUCE``) instead pack float weight matrices
 (``w2_exact``/``wt_exact``, or ``w_nhwc_exact`` for NHWC-layout regions)
 that feed the blocked BLAS GEMMs in :mod:`repro.runtime.kernels` —
-float32 where the layer's weights prove that exact
-(:func:`_exact_gemm_dtype`), float64 otherwise.  The accumulators are
+always float32, beside the ``k_bounds`` reduction chunks within which
+the layer's weights prove a float32 GEMM exact
+(:func:`_exact_k_bounds`).  The accumulators are
 exact integers, so these packs are bitwise-identical to the int32 forms
 they replace.  Constant batchnorm parameters fold to one per-channel
 ``scale``/``shift`` pair.  Float
@@ -81,9 +82,10 @@ KernelFn = Callable[..., List[np.ndarray]]
 # v2: quantized packs for exact-GEMM-eligible nodes store float weight
 # matrices ("w2_exact"/"wt_exact"/"w_nhwc_exact") instead of int32
 # tensors, and NHWC-layout convs store the NHWC-ordered pack + row term.
-# Renaming those entries and narrowing them to float32 moved
-# plan_cache.ENTRY_VERSION instead of this number: the key stays put, so
-# a stale entry is rebuilt in place rather than orphaned at an old key.
+# Renaming those entries, narrowing them to float32 and adding their
+# "k_bounds" moved plan_cache.ENTRY_VERSION instead of this number: the
+# key stays put, so a stale entry is rebuilt in place rather than
+# orphaned at an old key.
 PACK_FORMAT_VERSION = 2
 
 
@@ -104,7 +106,9 @@ class ShardPlan:
     per-image GEMMs) and the integer quantized GEMMs (integer arithmetic
     is exact under any split).  The split is always over the batch/row
     axis, never the reduction axis — split-K reassociates floating-point
-    accumulation — and float ``dense`` is never sharded at all: even a
+    accumulation; only the exact quantized GEMMs cut their reduction
+    axis, inside the kernel and at the pack's proven ``k_bounds`` — and
+    float ``dense`` is never sharded at all: even a
     pure row split changes which OpenBLAS micro-kernel handles the
     fringe rows, and measured results differ in the last ulp
     (see DESIGN.md).
@@ -528,6 +532,13 @@ def _conv_kernel_hw(node: Node, specs) -> Tuple[int, int]:
     return int(w_spec.shape[2]), int(w_spec.shape[3])
 
 
+def _pack_k_bounds(pack: Dict[str, np.ndarray]) -> Tuple[int, ...]:
+    """The reduction chunks an exact-GEMM pack was proven for.  Required:
+    a float32 pack without them is an unproven GEMM, so a pack that
+    lacks the entry fails to bind instead of running one."""
+    return tuple(int(b) for b in pack["k_bounds"])
+
+
 @_builder("qconv2d")
 def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
     attrs = _conv_attrs(node)
@@ -547,6 +558,7 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
         if pack and "w_nhwc_exact" in pack and (
                 not has_bias or "bias" in pack):
             w_pack = pack["w_nhwc_exact"]
+            k_bounds = _pack_k_bounds(pack)
             row_term = pack.get("row_term_nhwc")
             input_zero = int(input_params.zero_point.ravel()[0])
             requant = build_requant_plan(
@@ -559,7 +571,7 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
 
             def run(args, ctx=None):
                 acc = kernels.qconv2d_acc_nhwc(
-                    args[0], w_pack, kernel_hw, stride, padding,
+                    args[0], w_pack, k_bounds, kernel_hw, stride, padding,
                     input_zero=0 if row_term is not None else input_zero,
                     workspace=ctx.workspace if ctx is not None else None)
                 if row_term is not None:
@@ -580,8 +592,11 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
         # Exact blocked-GEMM path: the float accumulator holds the same
         # integers the int32 reference computes (see kernels module
         # docstring), and the requant plan's first op converts either to
-        # float64 exactly — identical bits either way.
+        # float64 exactly — identical bits either way.  For a folded
+        # batch the accumulator is a transposed view; the row term and
+        # the requant plan are elementwise and take it as it comes.
         w2 = pack["w2_exact"]
+        k_bounds = _pack_k_bounds(pack)
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -593,7 +608,7 @@ def _build_qconv2d(node: Node, specs, pack=None) -> KernelFn:
 
         def run(args, ctx=None):
             acc = kernels.qconv2d_acc(
-                args[0], w2, kernel_hw, stride, padding,
+                args[0], w2, k_bounds, kernel_hw, stride, padding,
                 input_zero=0 if row_term is not None else input_zero,
                 workspace=ctx.workspace if ctx is not None else None)
             if row_term is not None:
@@ -645,6 +660,7 @@ def _build_qdense(node: Node, specs, pack=None) -> KernelFn:
 
     if pack and "wt_exact" in pack and (not has_bias or "bias" in pack):
         wt = pack["wt_exact"]
+        k_bounds = _pack_k_bounds(pack)
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -654,7 +670,7 @@ def _build_qdense(node: Node, specs, pack=None) -> KernelFn:
 
         def run(args, ctx=None):
             acc = kernels.qdense_acc(
-                args[0], wt,
+                args[0], wt, k_bounds,
                 input_zero=0 if row_term is not None else input_zero,
                 workspace=ctx.workspace if ctx is not None else None)
             if row_term is not None:
@@ -795,7 +811,16 @@ def _build_transpose(node: Node, specs, pack=None) -> KernelFn:
 
 @_builder("global_avgpool2d")
 def _build_global_avgpool2d(node: Node, specs, pack=None) -> KernelFn:
-    return lambda args, ctx=None: [kernels.global_avgpool2d(args[0])]
+    shape, dtype = _out_spec(node, specs)
+
+    def run(args, ctx=None):
+        if ctx is None:
+            return [kernels.global_avgpool2d(args[0])]
+        # Into an arena buffer: a pooled graph output is recycled into
+        # the arena, and a fresh array per run would grow its pool.
+        return [kernels.global_avgpool2d(args[0],
+                                         out=ctx.alloc(shape, dtype))]
+    return run
 
 
 @_builder("upsample2d")
@@ -977,6 +1002,7 @@ def _shard_qconv2d(node: Node, specs, pack=None) -> Optional[ShardPlan]:
         # exact under any split, so shards reproduce their rows bit for
         # bit (same argument as the int32 shard below).
         w2 = pack["w2_exact"]
+        k_bounds = _pack_k_bounds(pack)
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -988,7 +1014,7 @@ def _shard_qconv2d(node: Node, specs, pack=None) -> Optional[ShardPlan]:
 
         def run_shard(args, out, lo, hi, workspace=None):
             acc = kernels.qconv2d_acc(
-                args[0][lo:hi], w2, kernel_hw, stride, padding,
+                args[0][lo:hi], w2, k_bounds, kernel_hw, stride, padding,
                 input_zero=0 if row_term is not None else input_zero,
                 workspace=workspace)
             if row_term is not None:
@@ -1043,6 +1069,7 @@ def _shard_qdense(node: Node, specs, pack=None) -> Optional[ShardPlan]:
 
     if pack and "wt_exact" in pack and (not has_bias or "bias" in pack):
         wt = pack["wt_exact"]
+        k_bounds = _pack_k_bounds(pack)
         row_term = pack.get("row_term")
         input_zero = int(input_params.zero_point.ravel()[0])
         requant = build_requant_plan(
@@ -1052,7 +1079,7 @@ def _shard_qdense(node: Node, specs, pack=None) -> Optional[ShardPlan]:
 
         def run_shard(args, out, lo, hi, workspace=None):
             acc = kernels.qdense_acc(
-                args[0][lo:hi], wt,
+                args[0][lo:hi], wt, k_bounds,
                 input_zero=0 if row_term is not None else input_zero,
                 workspace=workspace)
             if row_term is not None:
@@ -1192,28 +1219,49 @@ def _prepack_batchnorm(node, graph, specs):
     return {"scale": scale, "shift": shift}
 
 
-def _exact_gemm_dtype(q_weight: np.ndarray) -> np.dtype:
-    """The narrowest float dtype in which this layer's GEMM is exact.
+def _exact_k_bounds(rows: np.ndarray) -> np.ndarray:
+    """Where to cut a layer's reduction axis so float32 GEMMs are exact.
 
-    Operands are ``q - z`` in [-255, 255] (or raw codes), so every partial
-    sum of an output — in any BLAS blocking or FMA grouping — is an
-    integer of magnitude at most ``255 * sum|w|`` over that output's
-    weight row (axis 0 indexes outputs for OIHW and (out, in) alike).
-    Below ``kernels.EXACT_F32_BOUND`` it is exactly representable in
-    float32; otherwise float64, exact up to EXACT_GEMM_MAX_REDUCE.
+    ``rows`` is the integer weight matrix as (outputs, K), K in the
+    pack's own reduction order.  Operands are ``q - z`` in [-255, 255]
+    (or raw codes), so every partial sum of an output over a stretch of
+    K — in any BLAS blocking or FMA grouping — is an integer of
+    magnitude at most ``255 * sum|w|`` over that stretch of the output's
+    row.  Returns int64 ``[0, ..., K]``: the fewest equal chunks such
+    that the bound stays under ``kernels.EXACT_F32_BOUND`` for every
+    chunk of every row — ``[0, K]`` whenever the whole row is.  One
+    weight is at most 128, so K chunks always pass.
     """
-    rows = np.abs(q_weight.reshape(q_weight.shape[0], -1).astype(np.int16))
-    widest = int(rows.sum(axis=1, dtype=np.int64).max())
-    if 255 * widest < kernels.EXACT_F32_BOUND:
-        return np.dtype(np.float32)
-    return np.dtype(np.float64)
+    k = int(rows.shape[1])
+    mags = np.abs(rows.astype(np.int16))
+    widest = int(mags.sum(axis=1, dtype=np.int64).max())
+    # A row of total T cannot fit in fewer than 255 * T / bound chunks.
+    fewest = 255 * widest // kernels.EXACT_F32_BOUND + 1
+    for chunks in range(fewest, k + 1):
+        bounds = np.arange(chunks + 1, dtype=np.int64) * k // chunks
+        if chunks > 1:
+            widest = max(
+                int(mags[:, lo:hi].sum(axis=1, dtype=np.int64).max())
+                for lo, hi in zip(bounds[:-1], bounds[1:]))
+        if 255 * widest < kernels.EXACT_F32_BOUND:
+            return bounds
+    raise AssertionError("unreachable: a single weight is under the bound")
+
+
+def _exact_pack(name: str, rows: np.ndarray,
+                transposed: bool) -> Dict[str, np.ndarray]:
+    """An exact-GEMM pack: the (outputs, K) integer ``rows`` as float32
+    under ``name`` — K-major when ``transposed`` — with their proof."""
+    w = rows.astype(np.float32)
+    return {name: np.ascontiguousarray(w.T if transposed else w),
+            "k_bounds": _exact_k_bounds(rows)}
 
 
 def _exact_qconv_eligible(node: Node, q_weight: np.ndarray) -> bool:
     """Whether the conv may run through the exact blocked float GEMM:
-    single-group, reduction narrow enough that every partial sum is an
-    exact integer in float64 *and* matches the int32 reference (which
-    cannot overflow below this width either)."""
+    single-group, reduction narrow enough that the float64 sum over its
+    float32-exact chunks is an exact integer *and* matches the int32
+    reference (which cannot overflow below this width either)."""
     k = int(np.prod(q_weight.shape[1:]))
     return (kernels.exact_qgemm_enabled()
             and int(node.attrs.get("groups", 1)) == 1
@@ -1237,12 +1285,13 @@ def _prepack_qconv2d(node, graph, specs):
             return None
         # OIHW -> (kh, kw, in_c, out_c): row index (i*kw + j)*C + ci,
         # the NHWC column gather order.
-        pack = {"w_nhwc_exact": np.ascontiguousarray(
-            q_weight.transpose(2, 3, 1, 0).reshape(k, out_c)
-            .astype(_exact_gemm_dtype(q_weight)))}
+        pack = _exact_pack(
+            "w_nhwc_exact",
+            q_weight.transpose(0, 2, 3, 1).reshape(out_c, k),
+            transposed=True)
     elif exact:
-        pack = {"w2_exact": np.ascontiguousarray(
-            q_weight.reshape(out_c, k).astype(_exact_gemm_dtype(q_weight)))}
+        pack = _exact_pack("w2_exact", q_weight.reshape(out_c, k),
+                           transposed=False)
     else:
         pack = {"w_int": q_weight.astype(np.int32)}
     bias = _bias_init(node, graph)
@@ -1274,8 +1323,7 @@ def _prepack_qdense(node, graph, specs):
     # BLAS form (see kernels module docstring).
     if kernels.exact_qgemm_enabled() \
             and q_weight.shape[1] <= kernels.EXACT_GEMM_MAX_REDUCE:
-        pack = {"wt_exact": np.ascontiguousarray(
-            q_weight.astype(_exact_gemm_dtype(q_weight)).T)}
+        pack = _exact_pack("wt_exact", q_weight, transposed=True)
     else:
         pack = {"wt_int": np.ascontiguousarray(q_weight.astype(np.int32).T)}
     bias = _bias_init(node, graph)

@@ -79,7 +79,12 @@ ENTRY_FORMAT = "repro-plan"
 # proved that exact, and constant batchnorms carry a scale/shift pack.
 # The key is unchanged, so a v3 entry fails the version check and is
 # rebuilt in place.
-ENTRY_VERSION = 4
+# v5: every exact-GEMM pack is float32 and carries "k_bounds", the int64
+# reduction chunks within which the prepacker proved a float32 GEMM exact
+# (one chunk for most layers); float64 packs are gone.  Same key again:
+# a v4 entry — whose wide layers hold float64 packs and no bounds — fails
+# the version check and is rebuilt in place.
+ENTRY_VERSION = 5
 
 _META_FILE = "meta.json"
 _BLOB_FILE = "weights.bin"

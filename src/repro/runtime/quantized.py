@@ -300,11 +300,11 @@ def build_requant_plan(data_params: QuantParams,
                        ) -> RequantPlan:
     """Precompute every constant of the requantization step once.
 
-    The plan consumes int32 accumulators — or exact float64 accumulators
-    from the blocked quantized GEMMs: int32 -> float64 conversion is
-    exact and the first plan operation multiplies by the float64 combined
-    scale either way, so both accumulator dtypes produce bit-identical
-    outputs.
+    The plan consumes int32 accumulators — or the exact float32 /
+    float64 accumulators of the blocked quantized GEMMs: conversion of
+    any of them to float64 is exact and the first plan operation
+    multiplies by the float64 combined scale either way, so every
+    accumulator dtype produces bit-identical outputs.
 
     ``channel_axis`` (NHWC: ``-1``) positions the per-channel multiplier
     and bias; NHWC callers must use per-tensor (scalar) output params,

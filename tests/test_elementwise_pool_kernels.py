@@ -26,7 +26,8 @@ from repro.runtime import (
     kernels,
     load_or_build,
 )
-from repro.runtime.plan import _exact_gemm_dtype
+from repro.runtime.plan import _exact_k_bounds
+from repro.runtime.plan_cache import ENTRY_VERSION
 from repro.runtime.quantized import RequantPlan
 
 # One sign of zero only: with both, numpy's *own* max reduction returns
@@ -370,15 +371,13 @@ class TestExactFloat32Gemm:
     def test_bound_is_tight(self):
         rng = np.random.default_rng(0)
         for pattern in ("all+", "all-", "mixed"):
-            assert _exact_gemm_dtype(adversarial_weights(
-                rng, 4, WIDEST_F32_K, pattern)) == np.float32
-            assert _exact_gemm_dtype(adversarial_weights(
-                rng, 4, WIDEST_F32_K + 1, pattern)) == np.float64
+            assert _exact_k_bounds(adversarial_weights(
+                rng, 4, WIDEST_F32_K, pattern)).tolist() == [0, 518]
+            assert _exact_k_bounds(adversarial_weights(
+                rng, 4, WIDEST_F32_K + 1, pattern)).tolist() == [0, 259, 519]
         one_wide_row = np.zeros((4, 600), dtype=np.int8)
         one_wide_row[2] = 127
-        assert _exact_gemm_dtype(one_wide_row) == np.float64
-        assert _exact_gemm_dtype(one_wide_row.reshape(4, 6, 10, 10)) \
-            == np.float64
+        assert _exact_k_bounds(one_wide_row).tolist() == [0, 300, 600]
 
     @pytest.mark.parametrize("pattern", ["all+", "all-", "mixed"])
     @pytest.mark.parametrize("q_dtype,zero,fill", [
@@ -401,7 +400,8 @@ class TestExactFloat32Gemm:
         wt = np.ascontiguousarray(w.astype(np.float32).T)
         for panel in (kernels.QGEMM_PANEL_BYTES, 64):   # whole / blocked
             monkeypatch.setattr(kernels, "QGEMM_PANEL_BYTES", panel)
-            acc = kernels.qdense_acc(q, wt, input_zero=zero)
+            acc = kernels.qdense_acc(q, wt, (0, WIDEST_F32_K),
+                                     input_zero=zero)
             assert acc.dtype == np.float32
             np.testing.assert_array_equal(acc.astype(np.int64), want)
 
@@ -424,13 +424,15 @@ class TestExactFloat32Gemm:
                 w.transpose(2, 3, 1, 0).reshape(WIDEST_F32_K, 6)
                 .astype(np.float32))
             run = lambda: kernels.qconv2d_acc_nhwc(  # noqa: E731
-                np.ascontiguousarray(q.transpose(0, 2, 3, 1)), pack, kernel,
-                1, padding, input_zero=zero).transpose(0, 3, 1, 2)
+                np.ascontiguousarray(q.transpose(0, 2, 3, 1)), pack,
+                (0, WIDEST_F32_K), kernel, 1, padding,
+                input_zero=zero).transpose(0, 3, 1, 2)
         else:
             pack = np.ascontiguousarray(
                 w.reshape(6, WIDEST_F32_K).astype(np.float32))
             run = lambda: kernels.qconv2d_acc(  # noqa: E731
-                q, pack, kernel, 1, padding, input_zero=zero)
+                q, pack, (0, WIDEST_F32_K), kernel, 1, padding,
+                input_zero=zero)
         for panel in (kernels.QGEMM_PANEL_BYTES, 1 << 12):
             monkeypatch.setattr(kernels, "QGEMM_PANEL_BYTES", panel)
             acc = run()
@@ -462,9 +464,9 @@ def adversarial_graph(k):
 
 
 class TestExactPackDtypeInPlans:
-    @pytest.mark.parametrize("k,dtype", [(WIDEST_F32_K, np.float32),
-                                         (WIDEST_F32_K + 1, np.float64)])
-    def test_pack_dtype_follows_the_bound_and_bits_hold(self, k, dtype,
+    @pytest.mark.parametrize("k,bounds", [
+        (WIDEST_F32_K, [0, 518]), (WIDEST_F32_K + 1, [0, 259, 519])])
+    def test_pack_dtype_follows_the_bound_and_bits_hold(self, k, bounds,
                                                         tmp_path):
         g = adversarial_graph(k)
         rng = np.random.default_rng(4)
@@ -474,17 +476,19 @@ class TestExactPackDtypeInPlans:
             .run(feeds)["y"]
         assert len(np.unique(reference)) > 2          # not saturated away
         plan = compile_plan(g)
-        assert plan.packs["fc"]["wt_exact"].dtype == dtype
+        assert plan.packs["fc"]["wt_exact"].dtype == np.float32
+        assert plan.packs["fc"]["k_bounds"].tolist() == bounds
         assert_bitwise(Executor(g, plan=plan).run(feeds)["y"], reference)
         arena = Executor(g, reuse_buffers=True)
         for _ in range(2):
             assert_bitwise(arena.run(feeds)["y"], reference)
-        # The dtype is part of what the plan cache persists.
+        # The pack and its proof are what the plan cache persists.
         cache = PlanCache(tmp_path)
         cold = load_or_build(g, cache=cache)
         warm = load_or_build(g, cache=cache)
         assert not cold.from_cache and warm.from_cache
-        assert warm.plan.packs["fc"]["wt_exact"].dtype == dtype
+        assert warm.plan.packs["fc"]["wt_exact"].dtype == np.float32
+        assert warm.plan.packs["fc"]["k_bounds"].tolist() == bounds
         assert_bitwise(Executor(warm.graph, plan=warm.plan).run(feeds)["y"],
                        reference)
 
@@ -501,7 +505,7 @@ class TestExactPackDtypeInPlans:
         rebuilt = load_or_build(g, cache=cache)
         assert not rebuilt.from_cache
         assert "wt_exact" in rebuilt.plan.packs["fc"]
-        assert json.loads(meta_path.read_text())["version"] == 4
+        assert json.loads(meta_path.read_text())["version"] == ENTRY_VERSION
         assert load_or_build(g, cache=cache).from_cache
 
 

@@ -5,7 +5,7 @@ reference — same column buffer content and layout means the same BLAS
 call and therefore the same bits.  The sweeps here cover the geometry
 corners the gather math has to get right (stride > kernel, asymmetric
 padding, padding wider than the kernel, grouped convolutions) and the
-exact float64 quantized GEMMs against the int32 references, including
+exact float32 quantized GEMMs against the int32 references, including
 with cache blocking forced on by shrinking the panel budget.
 """
 
@@ -180,7 +180,7 @@ def _qconv_reference_and_exact(seed, n=2, in_c=3, out_c=4, hw=9,
                                data_dtype=DType.INT8, zero=0,
                                activation=None, alpha=None,
                                per_channel=True, nhwc=False):
-    """Build matched reference / exact-f64 qconv results."""
+    """Build matched reference / exact-GEMM qconv results."""
     rng = np.random.default_rng(seed)
     real = rng.normal(size=(n, in_c, hw, hw)).astype(np.float32)
     w_real = rng.normal(size=(out_c, in_c) + kernel).astype(np.float32)
@@ -204,12 +204,12 @@ def _qconv_reference_and_exact(seed, n=2, in_c=3, out_c=4, hw=9,
         row_term = None  # padding injects zeros, not zero_point
     if nhwc:
         k = in_c * kernel[0] * kernel[1]
-        w_f64 = np.ascontiguousarray(
+        w_pack = np.ascontiguousarray(
             q_weight.transpose(2, 3, 1, 0).reshape(k, out_c)
-            .astype(np.float64))
+            .astype(np.float32))
         src = np.ascontiguousarray(q_data.transpose(0, 2, 3, 1))
         acc = kernels.qconv2d_acc_nhwc(
-            src, w_f64, kernel, stride, padding,
+            src, w_pack, (0, k), kernel, stride, padding,
             input_zero=0 if row_term is not None else izero)
         if row_term is not None:
             acc -= row_term.reshape(1, 1, 1, -1)
@@ -221,9 +221,9 @@ def _qconv_reference_and_exact(seed, n=2, in_c=3, out_c=4, hw=9,
     else:
         k = in_c * kernel[0] * kernel[1]
         w2 = np.ascontiguousarray(
-            q_weight.reshape(out_c, k).astype(np.float64))
+            q_weight.reshape(out_c, k).astype(np.float32))
         acc = kernels.qconv2d_acc(
-            q_data, w2, kernel, stride, padding,
+            q_data, w2, (0, k), kernel, stride, padding,
             input_zero=0 if row_term is not None else izero)
         if row_term is not None:
             acc -= row_term.reshape(1, -1, 1, 1)
@@ -235,7 +235,7 @@ def _qconv_reference_and_exact(seed, n=2, in_c=3, out_c=4, hw=9,
 
 
 class TestExactQuantizedConv:
-    """float64 blocked qconv GEMM == int32 reference, bitwise."""
+    """Exact blocked qconv GEMM == int32 reference, bitwise."""
 
     @pytest.mark.parametrize("zero", [0, 7, -3])
     @pytest.mark.parametrize("nhwc", [False, True])
@@ -290,10 +290,10 @@ class TestExactQuantizedConv:
         ref = quantized_conv2d(q_data, dp, q_weight, wp, None, op,
                                stride=1, padding=1)
         w2 = np.ascontiguousarray(
-            q_weight.reshape(4, -1).astype(np.float64))
+            q_weight.reshape(4, -1).astype(np.float32))
         for _ in range(2):  # second call reuses the workspace buffers
-            acc = kernels.qconv2d_acc(q_data, w2, (3, 3), (1, 1), (1, 1),
-                                      workspace=ws)
+            acc = kernels.qconv2d_acc(q_data, w2, (0, 27), (3, 3), (1, 1),
+                                      (1, 1), workspace=ws)
             got = build_requant_plan(dp, wp, None, op, 4)(acc)
             _assert_bitwise(got, ref)
 
@@ -313,10 +313,10 @@ class TestExactQuantizedDense:
                             dtype=DType.UINT8)
         q_data, q_weight = dp.quantize(real), wp.quantize(w_real)
         ref = quantized_dense(q_data, dp, q_weight, wp, bias, op)
-        wt = np.ascontiguousarray(q_weight.astype(np.float64).T)
+        wt = np.ascontiguousarray(q_weight.astype(np.float32).T)
         row_term = zero_point_row_term(q_weight, dp, (1,))
         acc = kernels.qdense_acc(
-            q_data, wt,
+            q_data, wt, (0, 37),
             input_zero=0 if row_term is not None
             else int(dp.zero_point.ravel()[0]))
         if row_term is not None:
