@@ -996,25 +996,100 @@ def activation_twin(name, buf: np.ndarray, workspace: Optional[Workspace],
 
 # -- pooling ------------------------------------------------------------------
 
+# numpy's pairwise summation (``pairwise_sum`` in
+# ``numpy/_core/src/umath/loops_utils.h.src``): a left fold below the
+# unroll, eight interleaved accumulators up to ``PW_BLOCKSIZE``, and a
+# split in two (at a multiple of the unroll) above it.
+_PW_UNROLL = 8
+_PW_BLOCKSIZE = 128
+
+
+def _pairwise_sum(views, acc: np.ndarray, workspace: Optional[Workspace],
+                  depth: int = 0) -> None:
+    """Write numpy's pairwise sum of ``views`` into ``acc``, in ``acc``'s
+    dtype: the additions ``np.add.reduce`` makes over a contiguous axis
+    holding ``views`` in order, each one a whole-array ``np.add``.  The
+    seven other accumulators are transient scratch, one tag set per
+    recursion depth."""
+    n = len(views)
+    if n < _PW_UNROLL:
+        # numpy starts this fold from -0.0, which v0 replaces exactly.
+        if n == 1:
+            np.copyto(acc, views[0])
+        else:
+            np.add(views[0], views[1], out=acc, dtype=acc.dtype)
+        for view in views[2:]:
+            np.add(acc, view, out=acc)
+        return
+    if n > _PW_BLOCKSIZE:
+        half = n // 2
+        half -= half % _PW_UNROLL
+        _pairwise_sum(views[:half], acc, workspace, depth + 1)
+        rest = scratch(workspace, acc.shape, acc.dtype, f"pool_sum{depth}")
+        _pairwise_sum(views[half:], rest, workspace, depth + 1)
+        np.add(acc, rest, out=acc)
+        return
+
+    def lane_buffer(k):
+        return acc if k == 0 else scratch(workspace, acc.shape, acc.dtype,
+                                          f"pool_sum{depth}_{k}")
+
+    # r[k] = v[k] + v[k + 8] + ... over whole blocks of eight; a lane of
+    # one view is that view, uncopied.
+    blocks = n - n % _PW_UNROLL
+    lanes = []
+    for k in range(_PW_UNROLL):
+        lane = views[k:blocks:_PW_UNROLL]
+        if len(lane) == 1:
+            lanes.append(lane[0])
+            continue
+        buf = lane_buffer(k)
+        np.add(lane[0], lane[1], out=buf, dtype=acc.dtype)
+        for view in lane[2:]:
+            np.add(buf, view, out=buf)
+        lanes.append(buf)
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail.
+    step = 1
+    while step < _PW_UNROLL:
+        for k in range(0, _PW_UNROLL, 2 * step):
+            buf = lane_buffer(k)
+            np.add(lanes[k], lanes[k + step], out=buf, dtype=acc.dtype)
+            lanes[k] = buf
+        step *= 2
+    for view in views[blocks:]:
+        np.add(acc, view, out=acc)
+
+
 def _pool2d(data: np.ndarray, kernel, stride, padding, take_max: bool,
             out: Optional[np.ndarray] = None,
             workspace: Optional[Workspace] = None,
             axes: Tuple[int, int] = (2, 3)) -> np.ndarray:
     """Pool over the two spatial ``axes``: (2, 3) NCHW, (1, 2) NHWC.
 
-    Max pooling is a left fold over the ``kh * kw`` strided views of the
-    input, in ``i * kw + j`` offset order, straight into ``out``: one
-    ``np.maximum`` pass per offset and no window buffer.  That is the
-    sequence numpy's scalar ``max`` reduction applies to a gathered
-    window, so the bits are the window reduction's (numpy's SIMD
-    reduction, taken for windows wider than a vector, may return the
-    other sign of a zero maximum when a window holds both +0 and -0;
-    every other value, NaN and inf included, is identical).
+    Both poolings fold the ``kh * kw`` strided views of the input, in
+    ``i * kw + j`` offset order, and keep no window buffer; the bits are
+    those of gathering the views into a ``(..., kh * kw)`` window and
+    reducing its last axis (the tests' oracle).  Both layouts take the
+    views in the same order, so NHWC output is the NCHW output's bits,
+    transposed.
 
-    Mean pooling gathers the views into a ``(..., kh * kw)`` window
-    buffer and reduces it: ``np.mean`` sums pairwise, not left to right,
-    so a fold would round differently.  Both layouts gather in the same
-    offset order, so NHWC output is the NCHW output's bits, transposed.
+    Max pooling is a left fold straight into ``out``: one ``np.maximum``
+    pass per offset, the sequence numpy's scalar ``max`` reduction
+    applies to a gathered window (numpy's SIMD reduction, taken for
+    windows wider than a vector, may return the other sign of a zero
+    maximum when a window holds both +0 and -0; every other value, NaN
+    and inf included, is identical).
+
+    Mean pooling is ``np.mean`` of the window: ``0 + pairwise(v0, ...)``
+    with numpy's pairwise schedule (:func:`_pairwise_sum`), then a
+    divide by ``kh * kw``.  Accumulator 0 is ``out`` itself, except for
+    float16, which sums in float32 scratch and rounds to half once,
+    after the divide, so the planned (``out=``) form returns the
+    allocating form's bits.  The one exception: where NaNs of both signs
+    meet in a window (a NaN input and one of the other sign, or the NaN
+    that ``+inf + -inf`` makes), the result is NaN on both sides but its
+    sign bit may differ, since which operand's NaN an addition keeps
+    depends on how numpy's C loop was compiled.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
@@ -1044,11 +1119,20 @@ def _pool2d(data: np.ndarray, kernel, stride, padding, take_max: bool,
         for view in views[2:]:
             np.maximum(out, view, out=out)
         return out
-    windows = scratch(workspace, views[0].shape + (kh * kw,), data.dtype,
-                      "pool_windows")
-    for idx, view in enumerate(views):
-        windows[..., idx] = view
-    return np.mean(windows, axis=-1, out=out)
+    # np.mean's dtypes: integers average in float64, float16 sums in
+    # float32.
+    if out is None:
+        out = np.empty(views[0].shape, dtype=data.dtype
+                       if data.dtype.kind == "f" else np.float64)
+    acc_dtype = np.float32 if out.dtype == np.float16 else out.dtype
+    acc = out if out.dtype == acc_dtype else \
+        scratch(workspace, out.shape, acc_dtype, "pool_acc")
+    _pairwise_sum(views, acc, workspace)
+    np.add(acc, 0.0, out=acc)          # the reduction's +0 start: -0 -> +0
+    np.true_divide(acc, kh * kw, out=acc)
+    if acc is not out:
+        np.copyto(out, acc)
+    return out
 
 
 def maxpool2d(data: np.ndarray, kernel, stride=None, padding=0,

@@ -35,6 +35,8 @@ from repro.runtime.quantized import RequantPlan
 # strict bit equality against it is only defined without the mix.
 SPECIALS = [0.0, 1.0, -1.0, np.nan, np.inf, -np.inf, 6e-8, -6e-8, 0.5, -2.5]
 SPECIALS_SIGNED_ZERO = SPECIALS + [-0.0]
+# The mean sums: +-3e38 overflows float32 (and is inf in float16).
+MEAN_SPECIALS = SPECIALS + [3e38, -3e38]
 
 
 def assert_bitwise(got, want):
@@ -70,22 +72,34 @@ def window_pool(data, kernel, stride, padding, reducer, pad_value, nhwc):
     return reducer(windows, axis=-1)
 
 
-pool_geometry = st.tuples(
-    st.sampled_from([np.float16, np.float32, np.float64]),
-    st.booleans(),                                        # NHWC
-    st.sampled_from([1, 8]),                              # batch
-    st.tuples(st.integers(1, 4), st.integers(1, 4)),      # kernel
-    st.tuples(st.integers(1, 3), st.integers(1, 3)),      # stride
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),      # padding
-    st.tuples(st.integers(4, 11), st.integers(4, 11)),    # height, width
-    st.integers(0, 2 ** 32 - 1),
-)
+# Kernels reaching every branch of numpy's pairwise sum, which the mean
+# fold replays: one element, the left fold (2-7), eight lanes (8-128,
+# with and without a tail of n % 8), one split (129-256) and two (300).
+SCHEDULE_KERNELS = [(1, 1), (1, 2), (2, 2), (2, 3), (1, 7), (2, 4), (3, 3),
+                    (3, 5), (4, 4), (5, 5), (8, 8), (9, 9), (12, 12),
+                    (13, 13), (12, 25)]
 
 
-def pool_input(rng, dtype, nhwc, batch, hw, special):
+@st.composite
+def pool_geometry(draw):
+    kernel = draw(st.one_of(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        st.sampled_from(SCHEDULE_KERNELS)))
+    stride = tuple(draw(st.integers(1, max(3, k // 3))) for k in kernel)
+    padding = tuple(draw(st.integers(0, 2)) for _ in kernel)
+    hw = tuple(draw(st.integers(max(4, k - 2 * p), max(11, k + 3)))
+               for k, p in zip(kernel, padding))
+    return (draw(st.sampled_from([np.float16, np.float32, np.float64])),
+            draw(st.booleans()),                          # NHWC
+            draw(st.sampled_from([1, 8])),                # batch
+            kernel, stride, padding, hw,
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def pool_input(rng, dtype, nhwc, batch, hw, special, pool=SPECIALS):
     shape = (batch,) + hw + (3,) if nhwc else (batch, 3) + hw
     if special:
-        return special_array(rng, shape, dtype)
+        return special_array(rng, shape, dtype, pool)
     return rng.normal(size=shape).astype(dtype)
 
 
@@ -95,7 +109,7 @@ class TestMaxPoolFold:
     asymmetric padding, three float widths, both layouts."""
 
     @settings(max_examples=120, deadline=None)
-    @given(pool_geometry, st.booleans())
+    @given(pool_geometry(), st.booleans())
     def test_fold_matches_window_reduction(self, geometry, special):
         dtype, nhwc, batch, kernel, stride, padding, hw, seed = geometry
         rng = np.random.default_rng(seed)
@@ -149,26 +163,153 @@ class TestMaxPoolFold:
         kernels.maxpool2d(data, 3, 2, 1, out=out, workspace=ws)
         assert ws.nbytes() == 8 * 16 * 34 * 34 * 4   # the padded input only
 
-    @settings(max_examples=40, deadline=None)
-    @given(pool_geometry)
-    def test_avgpool_still_the_window_mean(self, geometry):
-        """avgpool2d keeps the window path (np.mean is pairwise, a fold
-        would round differently): the shared helper must not move it."""
+    @settings(max_examples=80, deadline=None)
+    @given(pool_geometry(), st.booleans())
+    def test_avgpool_still_the_window_mean(self, geometry, special):
+        """avgpool2d folds numpy's pairwise schedule over the strided
+        views; its bits are still np.mean's over the gathered window."""
         dtype, nhwc, batch, kernel, stride, padding, hw, seed = geometry
         rng = np.random.default_rng(seed)
-        data = pool_input(rng, dtype, nhwc, batch, hw, special=False)
-        want = window_pool(data, kernel, stride, padding, np.mean, 0.0, nhwc)
+        with np.errstate(all="ignore"):
+            data = pool_input(rng, dtype, nhwc, batch, hw, special,
+                              MEAN_SPECIALS)
+            want = window_pool(data, kernel, stride, padding, np.mean, 0.0,
+                               nhwc)
+            windows = window_pool(data, kernel, stride, padding,
+                                  lambda w, axis: w, 0.0, nhwc)
+            fn = kernels.avgpool2d_nhwc if nhwc else kernels.avgpool2d
+            assert_mean_bitwise(fn(data, kernel, stride, padding), want,
+                                windows)
+            # The out= form returns the same bits: float16 sums in float32
+            # and rounds once, as np.mean does without out=.
+            out = np.empty(want.shape, dtype=dtype)
+            got = fn(data, kernel, stride, padding, out=out,
+                     workspace=kernels.Workspace())
+        assert got is out
+        assert_mean_bitwise(got, want, windows)
+
+
+def assert_mean_bitwise(got, want, windows):
+    """Bitwise equality, except the sign of a NaN where NaNs of both signs
+    meet in a window: a +NaN input and a -NaN one, or a NaN input and the
+    NaN of +inf + -inf (infinite inputs, or sums that overflow the
+    accumulator), which takes the host's default sign.  Which operand's
+    NaN an addition keeps depends on how numpy's C loop was compiled."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    unsigned = f"u{got.itemsize}"
+    differ = got.view(unsigned) != want.view(unsigned)
+    nan = np.isnan(windows)
+    negative = np.signbit(windows)
+    limit = np.finfo(np.float32 if windows.dtype == np.float16
+                     else windows.dtype).max
+    with np.errstate(all="ignore"):
+        wide = windows.astype(np.float64)
+        positive = np.where(wide > 0, wide, 0).sum(-1) > limit
+        below = np.where(wide < 0, wide, 0).sum(-1) < -limit
+    mixed = ((nan & negative).any(-1) & (nan & ~negative).any(-1)) \
+        | (nan.any(-1) & positive & below)
+    assert not np.any(differ & ~(mixed & np.isnan(got) & np.isnan(want)))
+
+
+class TestMeanPoolFold:
+    """The mean fold against np.mean over the gathered window, on every
+    branch of the schedule, and its scratch."""
+
+    @pytest.mark.parametrize("kernel", SCHEDULE_KERNELS)
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("nhwc", [False, True])
+    def test_every_branch_of_the_schedule(self, kernel, dtype, nhwc):
+        rng = np.random.default_rng(kernel[0] * 31 + kernel[1])
+        hw = (kernel[0] + 5, kernel[1] + 4)
         fn = kernels.avgpool2d_nhwc if nhwc else kernels.avgpool2d
-        assert_bitwise(fn(data, kernel, stride, padding), want)
-        # The seed's out= form, which for float16 rounds the window sum
-        # to half precision before dividing (np.mean's out= semantics).
-        want_out = window_pool(
-            data, kernel, stride, padding,
-            lambda w, axis: np.mean(w, axis=axis, out=np.empty(
-                w.shape[:-1], dtype=w.dtype)), 0.0, nhwc)
-        out = np.empty(want.shape, dtype=dtype)
-        assert_bitwise(fn(data, kernel, stride, padding, out=out,
-                          workspace=kernels.Workspace()), want_out)
+        ws = kernels.Workspace()
+        for stride, padding in [((1, 1), (0, 0)), (kernel, (0, 0)),
+                                ((2, 1), (kernel[0] // 2, kernel[1] // 2))]:
+            for special in (False, True):
+                with np.errstate(all="ignore"):
+                    data = pool_input(rng, dtype, nhwc, 2, hw, special,
+                                      MEAN_SPECIALS)
+                    want = window_pool(data, kernel, stride, padding,
+                                       np.mean, 0.0, nhwc)
+                    windows = window_pool(data, kernel, stride, padding,
+                                          lambda w, axis: w, 0.0, nhwc)
+                    got = fn(data, kernel, stride, padding)
+                    planned = fn(data, kernel, stride, padding,
+                                 out=np.empty(want.shape, dtype),
+                                 workspace=ws)
+                assert_mean_bitwise(got, want, windows)
+                assert_mean_bitwise(planned, want, windows)
+
+    def test_negative_zero_windows_average_to_positive_zero(self):
+        """np.add.reduce starts from +0, so an all -0 window sums to +0."""
+        for kernel in [(1, 1), (2, 2), (3, 3), (12, 12)]:
+            data = np.full((1, 2) + kernel, -0.0, dtype=np.float32)
+            want = window_pool(data, kernel, kernel, (0, 0), np.mean, 0.0,
+                               False)
+            assert not np.signbit(want).any()
+            assert_bitwise(kernels.avgpool2d(data, kernel), want)
+
+    def test_fp16_graph_same_bits_planned_and_unplanned(self):
+        """An fp16 graph's avgpool: the engine's planned path (reuse_buffers)
+        returns the allocating Executor's bits."""
+        from repro.ir.builder import GraphBuilder
+        from repro.optim import convert_fp16
+
+        b = GraphBuilder("fp16_pool")
+        x = b.input("input", (1, 4, 58, 58))
+        g = convert_fp16(b.finish(b.avgpool2d(x, 3, stride=1)))
+        rng = np.random.default_rng(11)
+        feeds = {g.inputs[0].name: rng.normal(
+            size=g.inputs[0].shape).astype(np.float16)}
+        want = Executor(g).run(feeds)
+        got = Executor(g, reuse_buffers=True).run(feeds)
+        for name, value in want.items():
+            assert value.dtype == np.float16
+            assert_bitwise(got[name], value)
+
+    def test_shared_workspace_across_batch_sizes(self):
+        """One workspace interleaving batch sizes and geometries returns a
+        fresh workspace's bits every call, and keeps no window buffer."""
+        rng = np.random.default_rng(12)
+        geometries = [((13, 13), (2, 2), (6, 6), np.float32),
+                      ((3, 5), (1, 2), (1, 2), np.float16)]
+        shared = kernels.Workspace()
+        for batch in (8, 3, 8, 1):
+            for kernel, stride, padding, dtype in geometries:
+                data = rng.normal(size=(batch, 3, 20, 21)).astype(dtype)
+                want = kernels.avgpool2d(data, kernel, stride, padding,
+                                         out=None,
+                                         workspace=kernels.Workspace())
+                got = kernels.avgpool2d(data, kernel, stride, padding,
+                                        out=np.empty_like(want),
+                                        workspace=shared)
+                assert_bitwise(got, want)
+                for buf in shared._buffers.values():
+                    buf.fill(0x5A)
+        tags = {key[1] for key in shared._buffers}
+        assert "pool_windows" not in tags
+        assert tags <= {"pool_pad", "pool_acc"} | {
+            tag for tag in tags if tag.startswith("pool_sum")}
+
+    def test_tiny_convnet_allocates_nothing_after_warmup(self):
+        g = build_model("tiny_convnet", batch=8)
+        assert any(n.op_type == "avgpool2d" for n in g.nodes)
+        rng = np.random.default_rng(13)
+        feeds = {g.inputs[0].name: rng.normal(
+            size=g.inputs[0].shape).astype(np.float32)}
+        reference = Executor(g).run(feeds)
+        executor = Executor(g, reuse_buffers=True)
+        executor.recycle(executor.run(feeds))
+        arena, workspace = executor.plan.arena, executor.plan.workspace
+        before = arena.stats.allocations
+        scratch_allocations = workspace.allocations
+        for _ in range(2):
+            got = executor.run(feeds)
+            for tensor, value in reference.items():
+                assert_bitwise(got[tensor], value)
+            executor.recycle(got)
+        assert arena.stats.allocations == before
+        assert workspace.allocations == scratch_allocations
 
 
 class TestTwoPassLeakyRelu:
