@@ -1,10 +1,10 @@
 """Txt-O — replica scaling: the multi-process serving tier vs one process.
 
-``BENCH_pr4.json`` documented the GIL ceiling: intra-process threading
-*lost* serving throughput (0.87-0.93x).  The replica tier answers with
-processes — N executors, each a full interpreter, weights shared as one
-resident mmap of the plan cache's blob.  This benchmark measures the
-closed-loop serving throughput of:
+Txt-N (EXPERIMENTS.md) documented the GIL ceiling: intra-process plan
+threading *lost* throughput (7-13 % slower at 2-8 threads).  The replica
+tier answers with processes — N executors, each a full interpreter,
+weights shared as one resident mmap of the plan cache's blob.  This
+benchmark measures the closed-loop serving throughput of:
 
 1. the in-process engine (one worker, micro-batching) — the baseline,
 2. the replica tier at 1, 2, and 4 processes with identical batching

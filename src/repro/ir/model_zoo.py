@@ -346,10 +346,9 @@ def wide_branch_net(batch: int = 1, image_size: int = 32, channels: int = 3,
     """Inception-style classifier with ``branches`` independent conv
     branches off a shared stem, merged by concat.
 
-    The branches have no data dependencies on each other, so the plan
-    schedule is wide (max width == ``branches``) — the workload the
-    parallel executor's inter-op scheduling exists for, and the model
-    the thread-scaling benchmark measures.
+    The branches have no data dependencies on each other: a
+    branch-and-merge topology (concat of ``branches`` inputs) beside the
+    zoo's pure chains, and the default model of ``repro trace``.
     """
     b = GraphBuilder("wide_branch_net", seed=seed)
     x = b.input("input", (batch, channels, image_size, image_size))

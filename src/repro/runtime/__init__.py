@@ -5,21 +5,15 @@ from .arena import (
     ArenaStats,
     RunContext,
     ScratchArena,
-    WorkerSlices,
 )
 from .executor import Executor, run_graph
 from .kernels import Workspace
-from .parallel import NUM_THREADS_ENV_VAR, WorkerPool, get_pool, \
-    resolve_num_threads
+from .parallel import WorkerPool, get_pool
 from .plan import (
     PACK_FORMAT_VERSION,
     CompiledStep,
     ExecutionError,
     ExecutionPlan,
-    PlanSchedule,
-    ShardPlan,
-    build_schedule,
-    build_shard,
     compile_node,
     compile_plan,
     fresh_buffers,
@@ -46,11 +40,10 @@ from .quantized import (
 
 __all__ = [
     "ArenaOwnershipError", "ArenaStats", "RunContext", "ScratchArena",
-    "WorkerSlices", "Workspace",
+    "Workspace",
     "ExecutionError", "Executor", "run_graph",
-    "NUM_THREADS_ENV_VAR", "WorkerPool", "get_pool", "resolve_num_threads",
+    "WorkerPool", "get_pool",
     "CompiledStep", "ExecutionPlan", "PACK_FORMAT_VERSION",
-    "PlanSchedule", "ShardPlan", "build_schedule", "build_shard",
     "compile_node", "compile_plan", "fresh_buffers", "prepack_graph",
     "CacheStats", "PlanCache", "SpecializedModel",
     "default_cache_dir", "load_or_build",

@@ -28,16 +28,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
 
 from ..ir.graph import Graph, Node
 from ..ir.tensor import TensorSpec
-from . import kernels
-from .arena import RunContext, WorkerSlices
-from .parallel import get_pool, resolve_num_threads
+from .arena import RunContext
 from .plan import ExecutionError, ExecutionPlan, compile_plan
 
 # Hook signature: (node, output arrays) -> possibly-replaced output arrays.
@@ -73,21 +70,12 @@ class Executor:
         of fresh ones.  The caller may hand the same pair to several
         executors (the serving engine's worker does, one per batch
         size) as long as only one of them runs at a time.
-    num_threads
-        Worker threads for plan execution: the plan's dependency-counted
-        schedule dispatches independent steps (and row shards of wide
-        steps) onto the shared process pool.  ``None`` defers to the
-        ``REPRO_NUM_THREADS`` environment default, else 1 (sequential).
-        Results are bitwise-identical to sequential execution at any
-        thread count.  Runs with per-node hooks registered always take
-        the sequential path — hook order is part of their contract.
     """
 
     def __init__(self, graph: Graph, keep_intermediates: bool = False,
                  reuse_buffers: bool = False,
                  plan: Optional[ExecutionPlan] = None,
                  prewarm: bool = False,
-                 num_threads: Optional[int] = None,
                  buffers: Optional[RunContext] = None) -> None:
         if keep_intermediates and reuse_buffers:
             raise ValueError(
@@ -107,22 +95,10 @@ class Executor:
         self._ctx: Optional[RunContext] = (
             RunContext(plan.arena, plan.workspace) if reuse_buffers else None)
         self._hooks: List[NodeHook] = []
-        self.num_threads = resolve_num_threads(num_threads)
-        # When recording, each parallel run leaves per-step wall spans in
-        # last_timeline (the profiler's raw material for observed
-        # concurrency).
+        # When recording, each run leaves per-step wall spans in
+        # last_timeline (what tracing and the trace export read).
         self.record_timeline = False
         self.last_timeline: Optional[List[Dict[str, object]]] = None
-        self._worker_spaces: Optional[WorkerSlices] = None
-        if self.num_threads > 1:
-            if reuse_buffers:
-                # Activation buffers genuinely cross threads (produced on
-                # one worker, consumed and released on another), so the
-                # arena opts into locked shared mode; kernel scratch
-                # never crosses threads and stays per-worker.
-                self.plan.arena.share()
-                self._worker_spaces = WorkerSlices(kernels.Workspace)
-            get_pool(ensure=self.num_threads - 1)
 
     def add_hook(self, hook: NodeHook) -> None:
         """Register a per-node hook, called after each node executes."""
@@ -156,15 +132,10 @@ class Executor:
         """Run one inference; returns a dict of output name to array."""
         env = self._check_feeds(feeds)
         env.update(self.graph.initializers)
-        if (self.num_threads > 1 and not self._hooks
-                and not self.keep_intermediates
-                and self.plan.schedule is not None):
-            return self._run_parallel(env)
         release = not self.keep_intermediates
         ctx = self._ctx
-        # Sequential per-step timeline (same span shape as the parallel
-        # path) for tracing/export; one predictable branch per step when
-        # disabled, zero allocations.
+        # Per-step timeline for tracing/export; one predictable branch
+        # per step when disabled, zero allocations.
         timeline: Optional[List[Dict[str, object]]] = (
             [] if self.record_timeline else None)
         clock = time.perf_counter
@@ -218,178 +189,6 @@ class Executor:
             # caller's back.  recycle() re-donates them explicitly.
             for value in results.values():
                 ctx.arena.detach(value)
-        return results
-
-    def _run_parallel(self, env: Dict[str, np.ndarray]
-                      ) -> Dict[str, np.ndarray]:
-        """Dependency-scheduled execution on the shared worker pool.
-
-        The calling thread always *participates* in the claim loop, so
-        the run completes even if every pool worker is busy elsewhere;
-        ``num_threads - 1`` helper tasks are invited onto the shared
-        pool.  Steps become ready when their dependency count reaches
-        zero; wide steps with a :class:`ShardPlan` are expanded into row
-        shards writing disjoint views of one preallocated output.  Dead
-        activations are released when their per-buffer refcount drops to
-        zero — the out-of-order-safe equivalent of the sequential
-        release schedule.  Outputs are bitwise-identical to the
-        sequential path by construction (same bound kernels; shards
-        split only row-independent ops).
-        """
-        plan = self.plan
-        steps = plan.steps
-        schedule = plan.schedule
-        total = len(steps)
-        arena = plan.arena if self._ctx is not None else None
-        lock = threading.Lock()
-        cond = threading.Condition(lock)
-        queue: deque = deque(
-            index for index in range(total) if schedule.indegree[index] == 0)
-        indegree = list(schedule.indegree)
-        refcounts = dict(schedule.refcounts)
-        state: Dict[str, object] = {"done": 0, "error": None}
-        timeline: Optional[List[Dict[str, object]]] = (
-            [] if self.record_timeline else None)
-        clock = time.perf_counter
-        t0 = clock()
-
-        def _release_locked(name: str) -> None:
-            dead = env.pop(name, None)
-            if dead is not None and arena is not None:
-                arena.release(dead)
-
-        def _complete_locked(index: int, outputs: List[np.ndarray]) -> None:
-            node = steps[index].node
-            for name, value in zip(node.outputs, outputs):
-                env[name] = value
-            for name in node.outputs:
-                if refcounts.get(name) == 0:
-                    _release_locked(name)  # dead on arrival: no consumers
-            for name in set(node.inputs):
-                count = refcounts.get(name)
-                if count is None:
-                    continue
-                refcounts[name] = count - 1
-                if count == 1:
-                    _release_locked(name)
-            for succ in schedule.successors[index]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    queue.append(succ)
-            state["done"] += 1
-            cond.notify_all()
-
-        def _fail_locked(node: Node, exc: BaseException) -> None:
-            if state["error"] is None:
-                state["error"] = (node, exc)
-            cond.notify_all()
-
-        def _claim_locked():
-            """Pop a work item; expands a shardable step into row-shard
-            subtasks (queued at the front so helpers join immediately)
-            and hands the first shard to the claimant."""
-            if not queue:
-                return None
-            item = queue.popleft()
-            if not isinstance(item, int):
-                return item
-            step = steps[item]
-            args = [env[name] for name in step.node.inputs]
-            shard = step.shard
-            if shard is not None:
-                parts = min(self.num_threads, shard.rows)
-                if parts >= 2:
-                    out = (arena.alloc(shard.shape, shard.dtype)
-                           if arena is not None
-                           else np.empty(shard.shape, dtype=shard.dtype))
-                    bounds = kernels.shard_bounds(shard.rows, parts)
-                    holder = {"index": item, "args": args, "out": out,
-                              "shard": shard, "remaining": len(bounds)}
-                    for span in reversed(bounds[1:]):
-                        queue.appendleft(("shard", holder, span))
-                    cond.notify_all()
-                    return ("shard", holder, bounds[0])
-            return ("step", item, args)
-
-        def _record_locked(node: Node, start: float, end: float,
-                           rows=None) -> None:
-            if timeline is not None:
-                entry = {"name": node.name, "op": node.op_type,
-                         "start": start - t0, "end": end - t0,
-                         "thread": threading.get_ident()}
-                if rows is not None:
-                    entry["rows"] = rows
-                timeline.append(entry)
-
-        def _execute(item) -> None:
-            start = clock()
-            if item[0] == "step":
-                _, index, args = item
-                step = steps[index]
-                ctx = (RunContext(plan.arena, self._worker_spaces.get())
-                       if self._ctx is not None else None)
-                try:
-                    outputs = step.run(args, ctx) if ctx is not None \
-                        else step.run(args)
-                except BaseException as exc:
-                    with lock:
-                        _fail_locked(step.node, exc)
-                    return
-                with lock:
-                    _record_locked(step.node, start, clock())
-                    _complete_locked(index, outputs)
-                return
-            _, holder, (lo, hi) = item
-            shard = holder["shard"]
-            node = steps[holder["index"]].node
-            workspace = (self._worker_spaces.get()
-                         if self._worker_spaces is not None else None)
-            try:
-                shard.run_shard(holder["args"], holder["out"], lo, hi,
-                                workspace=workspace)
-            except BaseException as exc:
-                with lock:
-                    _fail_locked(node, exc)
-                return
-            with lock:
-                _record_locked(node, start, clock(), rows=(lo, hi))
-                holder["remaining"] -= 1
-                if holder["remaining"] == 0:
-                    _complete_locked(holder["index"], [holder["out"]])
-
-        def _participate() -> None:
-            while True:
-                with lock:
-                    while True:
-                        if state["error"] is not None \
-                                or state["done"] == total:
-                            return
-                        item = _claim_locked()
-                        if item is not None:
-                            break
-                        cond.wait()
-                _execute(item)
-
-        helpers = self.num_threads - 1
-        if helpers > 0:
-            pool = get_pool(ensure=helpers)
-            for _ in range(helpers):
-                pool.submit(_participate)
-        _participate()
-        with lock:
-            error = state["error"]
-        self.last_timeline = timeline
-        if error is not None:
-            node, exc = error
-            if isinstance(exc, ExecutionError):
-                raise exc
-            raise ExecutionError(
-                f"node {node.name!r} ({node.op_type}) failed: {exc}"
-            ) from exc
-        results = {name: env[name] for name in self.graph.output_names}
-        if arena is not None:
-            for value in results.values():
-                arena.detach(value)
         return results
 
     def recycle(self, outputs: Union[Mapping[str, np.ndarray],

@@ -4,7 +4,7 @@ These implement the float semantics of the op set.  They favour clarity and
 vectorization over micro-optimization, with two deliberate fast
 formulations on the conv hot path:
 
-* **Implicit-GEMM convolution** (the default, ``REPRO_CONV_MODE=implicit``).
+* **Implicit-GEMM convolution** (the default conv mode, ``"implicit"``).
   Pointwise convs (1x1, stride 1, no padding, no groups) feed the GEMM a
   zero-copy ``reshape`` view of the input — no column buffer exists at
   all.  General convs skip the materialized *padded* input: a per-geometry
@@ -13,10 +13,10 @@ formulations on the conv hot path:
   unpadded input (``_gather_cols``).  Both forms hand the GEMM a buffer
   with bit-identical content and memory layout to the classic
   materialized im2col, so the results are bitwise-identical — the same
-  BLAS call sees the same bytes.  ``REPRO_CONV_MODE=im2col`` (or
-  :func:`set_conv_mode`) selects the reference path: pad-buffer copy plus
-  full strided gather, kept as the equivalence oracle for the property
-  tests and benchmarks.
+  BLAS call sees the same bytes.  :func:`set_conv_mode` (``"im2col"``)
+  selects the reference path: pad-buffer copy plus full strided gather,
+  kept as the equivalence oracle for the property tests and benchmarks.
+  Nothing else selects it: the mode is not read from the environment.
 * **Exact float32 integer GEMM** (:func:`exact_gemm`, behind
   :func:`qconv2d_acc`, :func:`qconv2d_acc_nhwc` and :func:`qdense_acc`).
   The quantized accumulators are integers, and an sgemm whose every
@@ -64,7 +64,7 @@ differs.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -116,9 +116,7 @@ QCONV_FOLD_MAX_PLANE = 256
 
 _CONV_MODES = ("implicit", "im2col")
 
-_conv_mode = os.environ.get("REPRO_CONV_MODE", "implicit")
-if _conv_mode not in _CONV_MODES:
-    _conv_mode = "implicit"
+_conv_mode = "implicit"
 
 _exact_qgemm = os.environ.get("REPRO_EXACT_QGEMM", "1") != "0"
 
@@ -1206,52 +1204,3 @@ def pad(data: np.ndarray, pads,
                      for (b, _), dim in zip(pads, data.shape))
     out[interior] = data
     return out
-
-
-# -- sharded entry points ------------------------------------------------------
-#
-# Intra-op parallelism splits one wide kernel call along the *batch/row*
-# axis into independent slices computed by different pool workers, each
-# writing directly into a disjoint view of the preallocated ``out=``
-# buffer.  The split must be bitwise-invisible: conv qualifies because
-# numpy's batched matmul issues one identical (M, N, K) GEMM per image
-# whether the batch loop covers all images or a slice, and integer GEMMs
-# qualify because integer accumulation is exact under any grouping.
-# Float *dense* row/column splits do NOT qualify — changing the GEMM's M
-# or N flips OpenBLAS micro-kernel selection and the last ulp with it
-# (measured; see DESIGN.md) — the same class of prohibition as split-K,
-# so float dense is never sharded.
-
-
-def shard_bounds(total: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ``parts`` near-equal [lo, hi) slices."""
-    parts = max(1, min(int(parts), int(total)))
-    edges = [total * i // parts for i in range(parts + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(parts)]
-
-
-def conv2d_rows(data: np.ndarray, weight: np.ndarray, lo: int, hi: int,
-                out: np.ndarray, bias=None, stride=1, padding=0,
-                groups: int = 1, workspace: Optional[Workspace] = None,
-                packed_weight: Optional[np.ndarray] = None) -> np.ndarray:
-    """Convolve images ``lo:hi`` of the batch into ``out[lo:hi]``.
-
-    Row-sliced entry point for intra-op batch sharding: the slice runs
-    the same per-image GEMM calls the full-batch kernel would, so the
-    assembled output is bitwise-identical to one unsharded call.
-    """
-    return conv2d(data[lo:hi], weight, bias=bias, stride=stride,
-                  padding=padding, groups=groups, out=out[lo:hi],
-                  workspace=workspace, packed_weight=packed_weight)
-
-
-def dense_rows(data: np.ndarray, weight: np.ndarray, lo: int, hi: int,
-               out: np.ndarray, bias=None,
-               workspace: Optional[Workspace] = None) -> np.ndarray:
-    """Dense rows ``lo:hi`` into ``out[lo:hi]``.
-
-    Only bitwise-safe for *integer* operands (exact accumulation); float
-    callers must keep the whole GEMM in one call (see module comment).
-    """
-    return dense(data[lo:hi], weight, bias=bias, out=out[lo:hi],
-                 workspace=workspace)

@@ -1,61 +1,19 @@
-"""Shared persistent worker pool for multi-core plan execution.
+"""Shared persistent worker pool.
 
-The runtime's parallelism — inter-op graph scheduling in the executor and
-intra-op batch sharding in the kernels — all runs on *one* process-wide
-pool of daemon worker threads.  numpy's BLAS-bound kernels release the
-GIL, so independent plan steps (and shards of one wide step) genuinely
-overlap on multi-core hosts; everything else (scheduling bookkeeping,
-small elementwise ops) serializes on the GIL and is kept deliberately
-cheap.
-
-Design rules that keep the pool deadlock-free under composition (the
-serving engine runs whole batches on the pool, and each batch's executor
-schedules its steps on the same pool):
-
-* A caller that runs a plan in parallel always *participates* in its own
-  run: ``Executor`` drives a claim loop on the calling thread and only
-  *invites* pool workers to help.  If every pool worker is busy with
-  other work, the run still completes on the caller's thread alone.
-* Pool tasks never block waiting for other pool tasks to be *scheduled*;
-  helpers wait only on the run's condition variable, which is always
-  signalled by whichever thread (caller included) completes a step.
-
-``REPRO_NUM_THREADS`` is the process-wide default thread count consumed
-by :func:`resolve_num_threads`; ``Executor``, ``Profiler``, and
-``InferenceEngine`` all resolve their ``num_threads`` knob through it, so
-one environment variable turns the whole stack multi-core (the CI
-threaded job runs the suite with ``REPRO_NUM_THREADS=4``).
+The serving engine (:class:`repro.serving.engine.InferenceEngine`) runs
+its batches on *one* process-wide pool of daemon worker threads.
+numpy's BLAS-bound kernels release the GIL, so batches on different
+workers can overlap; the pool itself is deliberately minimal — plain
+callables, FIFO order, no futures, no shutdown ceremony.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from typing import Callable, Optional
 
 from ..telemetry import collectors as _telemetry
-
-NUM_THREADS_ENV_VAR = "REPRO_NUM_THREADS"
-
-
-def resolve_num_threads(explicit: Optional[int] = None) -> int:
-    """Resolve a thread-count knob: explicit value, else the
-    ``REPRO_NUM_THREADS`` environment default, else 1 (sequential)."""
-    if explicit is not None:
-        value = int(explicit)
-    else:
-        raw = os.environ.get(NUM_THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{NUM_THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"num_threads must be >= 1, got {value}")
-    return value
 
 
 class WorkerPool:
@@ -118,8 +76,8 @@ class WorkerPool:
             try:
                 task()
             except BaseException:
-                # Tasks own their error handling (the executor records
-                # failures into its run state); a task that still leaks
+                # Tasks own their error handling (the engine records
+                # failures on the batch's futures); a task that still leaks
                 # must not kill the shared worker.
                 pass
             finally:

@@ -94,146 +94,14 @@ class ExecutionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ShardPlan:
-    """Row-axis sharding recipe for one wide step.
-
-    ``run_shard(args, out, lo, hi, workspace)`` computes output rows
-    ``[lo, hi)`` of the step directly into the matching view of the
-    preallocated ``out`` buffer, so shards from different worker threads
-    write disjoint memory and need no reduction step.  Only ops whose
-    output rows are fully independent carry a shard plan: conv2d (the
-    im2col GEMM is batched per image, so a batch split runs the *same*
-    per-image GEMMs) and the integer quantized GEMMs (integer arithmetic
-    is exact under any split).  The split is always over the batch/row
-    axis, never the reduction axis — split-K reassociates floating-point
-    accumulation; only the exact quantized GEMMs cut their reduction
-    axis, inside the kernel and at the pack's proven ``k_bounds`` — and
-    float ``dense`` is never sharded at all: even a
-    pure row split changes which OpenBLAS micro-kernel handles the
-    fringe rows, and measured results differ in the last ulp
-    (see DESIGN.md).
-    """
-
-    rows: int
-    shape: Tuple[int, ...]
-    dtype: np.dtype
-    run_shard: Callable[..., None]
-
-
-@dataclass(frozen=True)
 class CompiledStep:
     """One node of the plan: the IR node, its bound kernel, and the
-    intermediate tensors whose storage may be reclaimed after it runs.
-    ``shard`` is the optional row-sharding recipe the parallel executor
-    uses for wide steps; the sequential path ignores it."""
+    intermediate tensors whose storage may be reclaimed after it runs."""
 
     node: Node
     run: KernelFn
     release: Tuple[str, ...]
-    shard: Optional[ShardPlan] = None
     layout: str = "NCHW"
-
-
-@dataclass(frozen=True)
-class PlanSchedule:
-    """Dependency-counted schedule derived from topology + liveness.
-
-    Everything the parallel executor needs to dispatch steps out of
-    order while preserving the sequential executor's semantics:
-
-    * ``indegree[i]`` — how many producer steps step ``i`` waits on; a
-      step becomes *ready* when its count reaches zero.
-    * ``successors[i]`` — step indices consuming step ``i``'s outputs
-      (their indegrees are decremented when ``i`` completes).
-    * ``refcounts[name]`` — number of distinct consumer steps of each
-      releasable intermediate.  Positional release lists assume the
-      sequential order ("free after step i"), which is meaningless when
-      steps finish out of order; a per-buffer count that drops to zero
-      exactly when the *last* consumer finishes frees each buffer at
-      the same point in the dependency order the sequential schedule
-      would, never earlier.  A count of zero means the value is dead on
-      arrival (produced, never consumed) and is freed by its producer.
-    * ``levels``/``depth``/``max_width`` — ASAP level per step, critical
-      path length, and the widest level: the plan's intrinsic
-      parallelism, reported by :meth:`ExecutionPlan.summary`.
-
-    The whole structure is plain ints/strings so the plan cache can
-    persist it as JSON (:meth:`to_dict`/:meth:`from_dict`).
-    """
-
-    indegree: Tuple[int, ...]
-    successors: Tuple[Tuple[int, ...], ...]
-    refcounts: Dict[str, int]
-    levels: Tuple[int, ...]
-    depth: int
-    max_width: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "indegree": list(self.indegree),
-            "successors": [list(s) for s in self.successors],
-            "refcounts": dict(self.refcounts),
-            "levels": list(self.levels),
-            "depth": self.depth,
-            "max_width": self.max_width,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "PlanSchedule":
-        return PlanSchedule(
-            indegree=tuple(int(d) for d in data["indegree"]),
-            successors=tuple(tuple(int(i) for i in s)
-                             for s in data["successors"]),
-            refcounts={str(k): int(v)
-                       for k, v in data["refcounts"].items()},
-            levels=tuple(int(v) for v in data["levels"]),
-            depth=int(data["depth"]),
-            max_width=int(data["max_width"]),
-        )
-
-
-def build_schedule(steps: Sequence[CompiledStep]) -> PlanSchedule:
-    """Derive the dependency-counted schedule from compiled steps.
-
-    Steps arrive in the graph's validated topological order, so one
-    forward sweep resolves producers, indegrees, and ASAP levels.
-    """
-    producer: Dict[str, int] = {}
-    for index, step in enumerate(steps):
-        for name in step.node.outputs:
-            producer[name] = index
-    indegree = [0] * len(steps)
-    successors: List[List[int]] = [[] for _ in steps]
-    levels = [0] * len(steps)
-    for index, step in enumerate(steps):
-        deps = {producer[name] for name in step.node.inputs
-                if name in producer and producer[name] != index}
-        indegree[index] = len(deps)
-        level = 0
-        for dep in deps:
-            successors[dep].append(index)
-            level = max(level, levels[dep] + 1)
-        levels[index] = level
-    releasable = set()
-    for step in steps:
-        releasable.update(step.release)
-    refcounts = {name: 0 for name in releasable}
-    for step in steps:
-        for name in set(step.node.inputs):
-            if name in refcounts:
-                refcounts[name] += 1
-    depth = max(levels) + 1 if levels else 0
-    width: Dict[int, int] = {}
-    for level in levels:
-        width[level] = width.get(level, 0) + 1
-    return PlanSchedule(
-        indegree=tuple(indegree),
-        successors=tuple(tuple(s) for s in successors),
-        refcounts=refcounts,
-        levels=tuple(levels),
-        depth=depth,
-        max_width=max(width.values()) if width else 0,
-    )
 
 
 def fresh_buffers() -> RunContext:
@@ -261,7 +129,6 @@ class ExecutionPlan:
     peak_live_bytes: int
     packs: Dict[str, Dict[str, np.ndarray]] = field(
         default_factory=dict, repr=False)
-    schedule: Optional[PlanSchedule] = field(default=None, repr=False)
     arena: Optional[ScratchArena] = field(default=None, repr=False)
     workspace: Optional[kernels.Workspace] = field(default=None, repr=False)
 
@@ -291,7 +158,7 @@ class ExecutionPlan:
                 buffers.arena.reserve((rows,) + trailing, dtype, count)
         return ExecutionPlan(self.graph_name, self.steps, self.specs,
                              self.peak_live_bytes, packs=self.packs,
-                             schedule=self.schedule, arena=buffers.arena,
+                             arena=buffers.arena,
                              workspace=buffers.workspace)
 
     def _peak_concurrency(self) -> Dict[Tuple[Tuple[int, ...], str],
@@ -327,11 +194,6 @@ class ExecutionPlan:
             f"steps, peak live {self.peak_live_bytes / 1024:.1f} KiB, "
             f"{packed} prepacked arrays"
         ]
-        if self.schedule is not None:
-            lines.append(
-                f"  schedule depth {self.schedule.depth} (critical path), "
-                f"max width {self.schedule.max_width}"
-            )
         for step in self.steps:
             frees = (f"  frees {', '.join(step.release)}"
                      if step.release else "")
@@ -921,216 +783,6 @@ for _name in kernels.ACTIVATIONS:
     _BUILDERS[_name] = _build_activation
 
 
-# -- intra-op shard builders ---------------------------------------------------
-#
-# A shard builder inspects one node at compile time and, when the op is
-# both row-independent (bitwise-safe to split — see ShardPlan) and wide
-# enough to amortize dispatch, returns a ShardPlan whose ``run_shard``
-# computes output rows [lo, hi) into a view of the preallocated out
-# buffer.  Narrow or unsafe steps return None and run unsharded (they
-# still parallelize across branches via the inter-op schedule).
-
-_SHARD_BUILDERS: Dict[str, Callable[..., Optional[ShardPlan]]] = {}
-
-# Minimum estimated MACs (output elements x reduction width) before a
-# step is worth sharding: below this, thread dispatch costs more than
-# the kernel.
-SHARD_MIN_WORK = 1 << 17
-
-
-def _shard_builder(*op_types: str):
-    def deco(fn):
-        for op in op_types:
-            _SHARD_BUILDERS[op] = fn
-        return fn
-    return deco
-
-
-def _shard_worth(node: Node, specs, rows: int) -> bool:
-    if rows < 2:
-        return False
-    out_elems = int(np.prod(specs[node.outputs[0]].shape))
-    reduce_width = int(np.prod(specs[node.inputs[1]].shape[1:]))
-    return out_elems * reduce_width >= SHARD_MIN_WORK
-
-
-@_shard_builder("conv2d", "fused_conv2d")
-def _shard_conv2d(node: Node, specs, pack=None) -> Optional[ShardPlan]:
-    shape, dtype = _out_spec(node, specs)
-    if len(shape) != 4 or not _shard_worth(node, specs, shape[0]):
-        return None
-    attrs = _conv_attrs(node)
-    act_name = node.attrs.get("activation")
-    act_alpha = node.attrs.get("activation_alpha")
-    act = _fused_activation(node)
-    has_bias = len(node.inputs) > 2
-    w2 = pack.get("w2") if pack else None
-
-    def run_shard(args, out, lo, hi, workspace=None):
-        kernels.conv2d_rows(args[0], args[1], lo, hi, out,
-                            bias=args[2] if has_bias else None,
-                            workspace=workspace, packed_weight=w2, **attrs)
-        if act is not None:
-            # Fused activations are elementwise, hence row-independent;
-            # applying them per shard is bitwise-identical.
-            view = out[lo:hi]
-            if not kernels.apply_activation(
-                    act_name, view, view, workspace, alpha=act_alpha):
-                view[...] = act(view)
-    return ShardPlan(int(shape[0]), shape, np.dtype(dtype), run_shard)
-
-
-@_shard_builder("qconv2d")
-def _shard_qconv2d(node: Node, specs, pack=None) -> Optional[ShardPlan]:
-    if node.attrs.get("layout") == "NHWC":
-        # NHWC steps run whole: the exact GEMM already blocks internally
-        # and a batch split would duplicate the panel scratch per worker.
-        return None
-    shape, dtype = _out_spec(node, specs)
-    if len(shape) != 4 or not _shard_worth(node, specs, shape[0]):
-        return None
-    attrs = _conv_attrs(node)
-    input_params = _node_qparams(node, "input")
-    weight_params = _node_qparams(node, "weight", channel_axis=0)
-    out_params = _node_qparams(node, "out")
-    activation = node.attrs.get("activation")
-    alpha = node.attrs.get("activation_alpha")
-    has_bias = len(node.inputs) > 2
-
-    if pack and "w2_exact" in pack and (not has_bias or "bias" in pack):
-        # Exact float GEMM on a batch slice: integer accumulation is
-        # exact under any split, so shards reproduce their rows bit for
-        # bit (same argument as the int32 shard below).
-        w2 = pack["w2_exact"]
-        k_bounds = _pack_k_bounds(pack)
-        row_term = pack.get("row_term")
-        input_zero = int(input_params.zero_point.ravel()[0])
-        requant = build_requant_plan(
-            input_params, weight_params,
-            pack.get("bias") if has_bias else None, out_params,
-            channel_ndim=4, activation=activation, activation_alpha=alpha)
-        kernel_hw = _conv_kernel_hw(node, specs)
-        stride, padding = attrs["stride"], attrs["padding"]
-
-        def run_shard(args, out, lo, hi, workspace=None):
-            acc = kernels.qconv2d_acc(
-                args[0][lo:hi], w2, k_bounds, kernel_hw, stride, padding,
-                input_zero=0 if row_term is not None else input_zero,
-                workspace=workspace)
-            if row_term is not None:
-                acc -= row_term
-            requant(acc, out=out[lo:hi], workspace=workspace)
-        return ShardPlan(int(shape[0]), shape, np.dtype(dtype), run_shard)
-
-    if pack and "w_int" in pack and (not has_bias or "bias" in pack):
-        # Mirror the prepacked builder on a row slice: the integer conv
-        # is exact under a batch split and requantization is elementwise
-        # with channel-broadcast constants, so each shard reproduces its
-        # rows of the full result bit for bit.
-        w_int = pack["w_int"]
-        row_term = pack.get("row_term")
-        input_zero = int(input_params.zero_point.ravel()[0])
-        requant = build_requant_plan(
-            input_params, weight_params,
-            pack.get("bias") if has_bias else None, out_params,
-            channel_ndim=4, activation=activation, activation_alpha=alpha)
-        w2 = (w_int.reshape(w_int.shape[0], -1)
-              if int(attrs["groups"]) == 1 else None)
-
-        def run_shard(args, out, lo, hi, workspace=None):
-            q = args[0][lo:hi].astype(np.int32)
-            if row_term is None:
-                acc = kernels.conv2d(q - input_zero, w_int,
-                                     packed_weight=w2, **attrs)
-            else:
-                acc = kernels.conv2d(q, w_int, packed_weight=w2, **attrs)
-                acc -= row_term
-            out[lo:hi] = requant(acc)
-    else:
-        def run_shard(args, out, lo, hi, workspace=None):
-            out[lo:hi] = quantized_conv2d(
-                args[0][lo:hi], input_params, args[1], weight_params,
-                args[2] if has_bias else None, out_params,
-                activation=activation, activation_alpha=alpha, **attrs)
-    return ShardPlan(int(shape[0]), shape, np.dtype(dtype), run_shard)
-
-
-@_shard_builder("qdense")
-def _shard_qdense(node: Node, specs, pack=None) -> Optional[ShardPlan]:
-    shape, dtype = _out_spec(node, specs)
-    if len(shape) != 2 or not _shard_worth(node, specs, shape[0]):
-        return None
-    input_params = _node_qparams(node, "input")
-    weight_params = _node_qparams(node, "weight", channel_axis=0)
-    out_params = _node_qparams(node, "out")
-    activation = node.attrs.get("activation")
-    alpha = node.attrs.get("activation_alpha")
-    has_bias = len(node.inputs) > 2
-
-    if pack and "wt_exact" in pack and (not has_bias or "bias" in pack):
-        wt = pack["wt_exact"]
-        k_bounds = _pack_k_bounds(pack)
-        row_term = pack.get("row_term")
-        input_zero = int(input_params.zero_point.ravel()[0])
-        requant = build_requant_plan(
-            input_params, weight_params,
-            pack.get("bias") if has_bias else None, out_params,
-            channel_ndim=2, activation=activation, activation_alpha=alpha)
-
-        def run_shard(args, out, lo, hi, workspace=None):
-            acc = kernels.qdense_acc(
-                args[0][lo:hi], wt, k_bounds,
-                input_zero=0 if row_term is not None else input_zero,
-                workspace=workspace)
-            if row_term is not None:
-                acc -= row_term
-            requant(acc, out=out[lo:hi], workspace=workspace)
-    elif pack and "wt_int" in pack and (not has_bias or "bias" in pack):
-        wt_int = pack["wt_int"]
-        row_term = pack.get("row_term")
-        input_zero = int(input_params.zero_point.ravel()[0])
-        requant = build_requant_plan(
-            input_params, weight_params,
-            pack.get("bias") if has_bias else None, out_params,
-            channel_ndim=2, activation=activation, activation_alpha=alpha)
-
-        def run_shard(args, out, lo, hi, workspace=None):
-            q = args[0][lo:hi].astype(np.int32)
-            if row_term is None:
-                acc = (q - input_zero) @ wt_int
-            else:
-                acc = q @ wt_int
-                acc -= row_term
-            out[lo:hi] = requant(acc)
-    else:
-        def run_shard(args, out, lo, hi, workspace=None):
-            out[lo:hi] = quantized_dense(
-                args[0][lo:hi], input_params, args[1], weight_params,
-                args[2] if has_bias else None, out_params,
-                activation=activation, activation_alpha=alpha)
-    return ShardPlan(int(shape[0]), shape, np.dtype(dtype), run_shard)
-
-
-# NOTE: float `dense`/`fused_dense` (and the binary ops built on float
-# GEMMs) deliberately have no shard builder.  A row split of a float
-# matmul is mathematically lossless but *not* bitwise-stable: OpenBLAS
-# picks different micro-kernels for fringe row counts, and measured
-# outputs differ in the last ulp (e.g. M=3 and M=5 slices of an
-# M=8 GEMM).  Conv is safe because its im2col GEMM is batched per image
-# — a batch split runs the identical per-image GEMMs (see DESIGN.md).
-
-
-def build_shard(node: Node, specs: Dict[str, TensorSpec],
-                pack: Optional[Dict[str, np.ndarray]] = None
-                ) -> Optional[ShardPlan]:
-    """The row-sharding recipe for one node, or None when the op is
-    narrow, not row-independent, or not bitwise-safe to split."""
-    builder = _SHARD_BUILDERS.get(node.op_type)
-    if builder is None:
-        return None
-    return builder(node, specs, pack)
-
-
 # -- weight prepacking ---------------------------------------------------------
 #
 # A prepacker inspects one node whose weights are graph initializers and
@@ -1380,16 +1032,14 @@ def compile_plan(graph: Graph,
                  prepack: bool = True,
                  packs: Optional[Dict[str, Dict[str, np.ndarray]]] = None,
                  releases: Optional[Sequence[Sequence[str]]] = None,
-                 peak_live: Optional[int] = None,
-                 schedule: Optional[PlanSchedule] = None) -> ExecutionPlan:
+                 peak_live: Optional[int] = None) -> ExecutionPlan:
     """Compile ``graph`` into an :class:`ExecutionPlan`.
 
     The keyword-only arguments are the warm-start seams the plan cache
-    uses: when ``specs``, ``releases``/``peak_live``, ``packs``, and
-    ``schedule`` are all supplied (from a cache hit), compilation skips
-    validation, shape inference, liveness analysis, prepacking, and
-    schedule derivation — only the cheap kernel binding remains.  A cold
-    call computes all of them.
+    uses: when ``specs``, ``releases``/``peak_live`` and ``packs`` are
+    all supplied (from a cache hit), compilation skips validation, shape
+    inference, liveness analysis and prepacking — only the cheap kernel
+    binding remains.  A cold call computes all of them.
     """
     # Deferred import: repro.optim pulls in passes that import this runtime
     # package at module scope.
@@ -1409,11 +1059,8 @@ def compile_plan(graph: Graph,
     steps = [
         CompiledStep(node, compile_node(node, specs, packs.get(node.name)),
                      tuple(releases[position]),
-                     shard=build_shard(node, specs, packs.get(node.name)),
                      layout=str(node.attrs.get("layout", "NCHW")))
         for position, node in enumerate(graph.nodes)
     ]
-    if schedule is None or len(schedule.indegree) != len(steps):
-        schedule = build_schedule(steps)
     return ExecutionPlan(graph.name, steps, specs, int(peak_live),
-                         packs=packs, schedule=schedule)
+                         packs=packs)

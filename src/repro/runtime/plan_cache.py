@@ -59,16 +59,15 @@ from ..ir.tensor import DType, TensorSpec
 from .plan import (
     PACK_FORMAT_VERSION,
     ExecutionPlan,
-    PlanSchedule,
     compile_plan,
 )
 
 CACHE_ENV_VAR = "REPRO_PLAN_CACHE_DIR"
 
 ENTRY_FORMAT = "repro-plan"
-# v2: entries persist the dependency-counted PlanSchedule (indegrees,
-# successors, refcounts, levels) consumed by the parallel executor; v1
-# entries miss the version check and are rebuilt in place.
+# v2: entries persisted a dependency-counted step schedule for a
+# threaded executor; v1 entries miss the version check and are rebuilt
+# in place.
 # v3: steps carry a layout tag (NCHW/NHWC from the layout-planner pass)
 # and prepacked weights use the v2 pack format (float64 exact-GEMM
 # panels, NHWC packs, NHWC row terms).  The pack version is also part of
@@ -84,7 +83,9 @@ ENTRY_FORMAT = "repro-plan"
 # (one chunk for most layers); float64 packs are gone.  Same key again:
 # a v4 entry — whose wide layers hold float64 packs and no bounds — fails
 # the version check and is rebuilt in place.
-ENTRY_VERSION = 5
+# v6: the step schedule is gone with the threaded executor it fed.  Same
+# key: a v5 entry fails the version check and is rebuilt in place.
+ENTRY_VERSION = 6
 
 _META_FILE = "meta.json"
 _BLOB_FILE = "weights.bin"
@@ -197,13 +198,10 @@ class PlanCache:
                 graph.add_initializer(name, _view(index), DType(dtype))
             for node_name, entry_name, *index in meta["packs"]:
                 packs.setdefault(node_name, {})[entry_name] = _view(index)
-            schedule = PlanSchedule.from_dict(meta["schedule"]) \
-                if meta.get("schedule") else None
             plan = compile_plan(
                 graph, specs, packs=packs,
                 releases=[tuple(r) for r in meta["releases"]],
-                peak_live=int(meta["peak_live_bytes"]),
-                schedule=schedule)
+                peak_live=int(meta["peak_live_bytes"]))
         except Exception:
             self.stats.misses += 1
             return None
@@ -261,8 +259,6 @@ class PlanCache:
                 ],
                 "releases": [list(step.release) for step in plan.steps],
                 "peak_live_bytes": int(plan.peak_live_bytes),
-                "schedule": (plan.schedule.to_dict()
-                             if plan.schedule is not None else None),
                 "packs": pack_index,
             }
             (tmp / _META_FILE).write_text(json.dumps(meta))
@@ -334,7 +330,7 @@ def load_or_build(graph: Graph, config=None,
     """The AOT entry point: cached specialized plan, or build-and-store.
 
     On a hit, returns the persisted specialized graph and a plan rebound
-    from the cached specs/schedule/packs.  On a miss, runs
+    from the cached specs/releases/packs.  On a miss, runs
     :func:`repro.optim.passes.specialize_graph`, compiles (with
     prepacking per the config), stores the entry, and returns the cold
     result.  Either way the returned plan executes bitwise-identically

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -66,12 +66,6 @@ class ProfileResult:
     # arena_allocations == 0 and a growing arena_reuses.
     arena_allocations: int = 0
     arena_reuses: int = 0
-    # Parallel-execution telemetry: thread count the profiled executor
-    # ran with, and the observed concurrency (sum of per-step wall spans
-    # divided by total wall time — 1.0 means fully serial, N means N
-    # steps/shards genuinely overlapped on average).
-    num_threads: int = 1
-    observed_concurrency: float = 1.0
 
     @property
     def mean_latency_seconds(self) -> float:
@@ -91,11 +85,6 @@ class ProfileResult:
             f"mean latency {self.mean_latency_seconds * 1e3:.3f} ms, "
             f"peak activations {self.peak_activation_bytes / 1024:.1f} KiB",
         ]
-        if self.num_threads > 1:
-            lines.append(
-                f"  {self.num_threads} threads, observed concurrency "
-                f"{self.observed_concurrency:.2f}x"
-            )
         hottest = sorted(self.layers, key=lambda l: l.total_seconds, reverse=True)
         for layer in hottest[:top]:
             share = (layer.total_seconds / self.total_seconds * 100
@@ -116,19 +105,10 @@ class Profiler:
     With ``reuse_buffers=True`` the profiled executor runs on its scratch
     arena (outputs are recycled between runs), so the result reports how
     many real allocations the timed runs performed — zero in steady state.
-
-    With ``num_threads > 1`` the executor runs its parallel schedule and
-    the per-node hooks (whose ordering is sequential by contract) are
-    replaced by the executor's span timeline: each step (or shard)
-    records its own wall span, and the result reports *observed
-    concurrency* — the ratio of summed span time to total wall time —
-    so a speedup (or its absence) is explainable per layer.
     """
 
-    def __init__(self, graph: Graph, reuse_buffers: bool = False,
-                 num_threads: Optional[int] = None) -> None:
-        self.executor = Executor(graph, reuse_buffers=reuse_buffers,
-                                 num_threads=num_threads)
+    def __init__(self, graph: Graph, reuse_buffers: bool = False) -> None:
+        self.executor = Executor(graph, reuse_buffers=reuse_buffers)
         self.graph = graph
 
     def _node_macs(self, node: Node) -> int:
@@ -144,22 +124,17 @@ class Profiler:
         except Exception:
             return 0
 
-    def _new_layers(self) -> Dict[str, LayerProfile]:
-        return {
-            node.name: LayerProfile(node.name, node.op_type,
-                                    macs=self._node_macs(node))
-            for node in self.graph.nodes
-        }
-
     def profile(
         self, feeds: Mapping[str, np.ndarray], runs: int = 3, warmup: int = 1,
     ) -> ProfileResult:
         """Execute ``runs`` timed inferences (after ``warmup`` untimed ones)."""
         if runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.executor.num_threads > 1:
-            return self._profile_parallel(feeds, runs, warmup)
-        layers: Dict[str, LayerProfile] = self._new_layers()
+        layers: Dict[str, LayerProfile] = {
+            node.name: LayerProfile(node.name, node.op_type,
+                                    macs=self._node_macs(node))
+            for node in self.graph.nodes
+        }
         # Tensors whose last consumer is each node: after that node runs
         # (and its outputs are counted), their bytes leave the live set.
         releases = {step.node.name: step.release
@@ -215,99 +190,6 @@ class Profiler:
                                if arena is not None else 0),
             arena_reuses=(arena.stats.reuses - baseline.reuses
                           if arena is not None else 0),
-        )
-
-    # -- parallel profiling ----------------------------------------------------
-
-    def _tensor_bytes(self) -> Dict[str, int]:
-        specs = self.executor.specs
-        return {
-            name: int(np.prod(spec.shape))
-            * np.dtype(spec.dtype.to_numpy()).itemsize
-            for name, spec in specs.items()
-        }
-
-    def _replay_peak(self, timeline, sizes: Dict[str, int]) -> int:
-        """Live-set peak of one parallel run, replayed from the actual
-        completion order of its timeline (per-buffer refcounts mirror the
-        executor's release rule)."""
-        schedule = self.executor.plan.schedule
-        if schedule is None or not timeline:
-            return 0
-        finished: Dict[str, float] = {}
-        for entry in timeline:
-            name = entry["name"]
-            finished[name] = max(finished.get(name, 0.0), entry["end"])
-        nodes = {node.name: node for node in self.graph.nodes}
-        refcounts = dict(schedule.refcounts)
-        live = peak = 0
-        for name in sorted(finished, key=finished.get):
-            node = nodes[name]
-            for out_name in node.outputs:
-                live += sizes.get(out_name, 0)
-            peak = max(peak, live)
-            for out_name in node.outputs:
-                if refcounts.get(out_name) == 0:
-                    live -= sizes.get(out_name, 0)
-            for in_name in set(node.inputs):
-                count = refcounts.get(in_name)
-                if count is None:
-                    continue
-                refcounts[in_name] = count - 1
-                if count == 1 and in_name not in {
-                        spec.name for spec in self.graph.inputs}:
-                    live -= sizes.get(in_name, 0)
-        return peak
-
-    def _profile_parallel(self, feeds: Mapping[str, np.ndarray],
-                          runs: int, warmup: int) -> ProfileResult:
-        executor = self.executor
-        layers: Dict[str, LayerProfile] = self._new_layers()
-        sizes = self._tensor_bytes()
-        node_out_bytes = {
-            node.name: sum(sizes.get(name, 0) for name in node.outputs)
-            for node in self.graph.nodes
-        }
-        for _ in range(warmup):
-            executor.recycle(executor.run(feeds))
-        arena = executor.plan.arena
-        baseline = arena.stats.snapshot() if arena is not None else None
-        executor.record_timeline = True
-        total = span_total = 0.0
-        peak = 0
-        try:
-            for _ in range(runs):
-                start = time.perf_counter()
-                out = executor.run(feeds)
-                total += time.perf_counter() - start
-                timeline = executor.last_timeline or []
-                seen = set()
-                for entry in timeline:
-                    profile = layers[entry["name"]]
-                    span = float(entry["end"]) - float(entry["start"])
-                    profile.total_seconds += span
-                    span_total += span
-                    if entry["name"] not in seen:
-                        seen.add(entry["name"])
-                        profile.calls += 1
-                        profile.output_bytes = node_out_bytes[entry["name"]]
-                peak = max(peak, self._replay_peak(timeline, sizes))
-                executor.recycle(out)
-        finally:
-            executor.record_timeline = False
-        return ProfileResult(
-            graph_name=self.graph.name,
-            runs=runs,
-            total_seconds=total,
-            layers=list(layers.values()),
-            peak_activation_bytes=peak,
-            planned_peak_bytes=executor.plan.peak_live_bytes,
-            arena_allocations=(arena.stats.allocations - baseline.allocations
-                               if arena is not None else 0),
-            arena_reuses=(arena.stats.reuses - baseline.reuses
-                          if arena is not None else 0),
-            num_threads=executor.num_threads,
-            observed_concurrency=(span_total / total if total > 0 else 1.0),
         )
 
 

@@ -91,18 +91,15 @@ def run_bench(graph: Graph,
               requests: int = 64, clients: Optional[int] = None,
               warmup: int = 8,
               max_latency_ms: float = 2.0,
-              num_threads: Optional[int] = None,
               tracer=None,
               slow_request_ms: Optional[float] = None) -> List[BenchResult]:
     """Benchmark ``graph`` under each ``(workers, max_batch)`` config.
 
     ``clients`` defaults to ``workers * max_batch`` per config so the
     queue has enough concurrent demand to actually fill batches.
-    ``num_threads`` is handed to every engine (intra-batch parallel plan
-    execution on the shared pool; ``None`` defers to
-    ``REPRO_NUM_THREADS``).  ``tracer`` and ``slow_request_ms`` are
-    handed to every engine too, so a benchmark run doubles as a source
-    of request traces (``serve-bench --trace-out``).
+    ``tracer`` and ``slow_request_ms`` are handed to every engine, so a
+    benchmark run doubles as a source of request traces
+    (``serve-bench --trace-out``).
     """
     results: List[BenchResult] = []
     feeds = sample_feeds(graph)
@@ -110,7 +107,7 @@ def run_bench(graph: Graph,
         n_clients = clients if clients is not None else workers * max_batch
         with InferenceEngine(graph, workers=workers, max_batch=max_batch,
                              max_latency_ms=max_latency_ms,
-                             num_threads=num_threads, tracer=tracer,
+                             tracer=tracer,
                              slow_request_ms=slow_request_ms) as engine:
             _closed_loop(engine, feeds, n_clients, warmup)
             before = engine.metrics()
@@ -449,7 +446,6 @@ def run_trace_replay(graph: Graph, arrivals: Sequence[float],
                      adaptive: bool = True,
                      max_batch: int = 8, max_latency_ms: float = 2.0,
                      workers: int = 1,
-                     num_threads: Optional[int] = None,
                      shed_policy=None, plan_cache=None,
                      warmup: int = 32,
                      headroom_ms: Optional[float] = None,
@@ -477,7 +473,6 @@ def run_trace_replay(graph: Graph, arrivals: Sequence[float],
     feeds = sample_feeds(graph)
     with InferenceEngine(graph, workers=workers, max_batch=max_batch,
                          max_latency_ms=max_latency_ms,
-                         num_threads=num_threads,
                          adaptive=adaptive,
                          shed_policy=shed_policy,
                          plan_cache=plan_cache,

@@ -8,10 +8,9 @@ built on the compiled-plan runtime:
   scaling, applied online);
 * whole batches run as tasks on the process-wide shared
   :class:`repro.runtime.parallel.WorkerPool` — numpy's BLAS-bound
-  kernels release the GIL, so batches overlap on multi-core hosts, and
-  with ``num_threads > 1`` each batch's executor additionally schedules
-  independent plan steps (and row shards of wide steps) onto the *same*
-  pool.  One pool serves both levels; there are no ad-hoc threads;
+  kernels release the GIL, so batches overlap on multi-core hosts; each
+  batch's executor runs its plan sequentially on the worker that took
+  the batch.  There are no ad-hoc threads;
 * every worker owns exactly one memory set — one scratch arena and one
   kernel workspace (``reuse_buffers``) — that all of its per-batch-size
   executors run on: buffer capacity grows to the largest batch the
@@ -41,7 +40,7 @@ import numpy as np
 from ..ir.graph import Graph
 from ..runtime.arena import ArenaStats, RunContext
 from ..runtime.executor import Executor
-from ..runtime.parallel import get_pool, resolve_num_threads
+from ..runtime.parallel import get_pool
 from ..runtime.plan import ExecutionPlan, compile_plan, fresh_buffers
 from ..telemetry import collectors as _telemetry
 from ..telemetry.tracing import RequestTrace, Tracer
@@ -161,10 +160,6 @@ class InferenceEngine:
     prewarm
         Pre-populate each worker arena from the plan's activation shapes
         (first run allocation-free, not just steady state).
-    num_threads
-        Threads each batch's executor may use for dependency-scheduled
-        step execution and row sharding (bitwise-identical results at
-        any value).  ``None`` defers to ``REPRO_NUM_THREADS``, else 1.
     tracer
         Optional :class:`repro.telemetry.tracing.Tracer`.  Requests the
         tracer samples carry a :class:`RequestTrace` through the whole
@@ -210,7 +205,6 @@ class InferenceEngine:
                  reuse_buffers: bool = True,
                  plan_cache=None, aot_config=None,
                  prewarm: bool = False,
-                 num_threads: Optional[int] = None,
                  tracer: Optional[Tracer] = None,
                  slow_request_ms: Optional[float] = None,
                  adaptive: bool = False,
@@ -281,11 +275,9 @@ class InferenceEngine:
         # otherwise it would drain the queue into the shared pool's
         # backlog and lose every coalescing opportunity.
         self._slots = threading.Semaphore(self.workers)
-        self.num_threads = resolve_num_threads(num_threads)
-        # One shared process pool runs both the engine's batch tasks and
-        # the executors' step/shard helpers; size it so a full complement
-        # of batches still leaves the intra-batch helpers runnable.
-        self._pool = get_pool(ensure=self.workers + self.num_threads - 1)
+        # The shared process pool runs the engine's batch tasks, one per
+        # worker slot.
+        self._pool = get_pool(ensure=self.workers)
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             name="repro-serve-dispatch",
                                             daemon=True)
@@ -508,8 +500,7 @@ class InferenceEngine:
             graph, plan = self._base_plan(batch)
             executor = worker.executors[batch] = Executor(
                 graph, reuse_buffers=self.reuse_buffers, plan=plan,
-                prewarm=self.prewarm, num_threads=self.num_threads,
-                buffers=worker.buffers)
+                prewarm=self.prewarm, buffers=worker.buffers)
         return executor
 
     def _dispatch_loop(self) -> None:

@@ -1,8 +1,8 @@
 """Multi-process replica serving tier: break the GIL ceiling.
 
-``BENCH_pr4.json`` showed intra-process threading *losing* throughput
-(0.87-0.93x at 2-8 threads): the numpy hot paths are GIL/cache-bound, so
-more threads in one interpreter cannot deliver multi-core scale.  This
+Intra-process plan threading *lost* throughput (7-13 % slower at 2-8
+threads; EXPERIMENTS.md, Txt-N): the numpy hot paths are GIL/cache-bound,
+so more threads in one interpreter cannot deliver multi-core scale.  This
 module moves the parallelism across *processes* instead — the VEDLIoT
 premise applied to the host: match the execution substrate to the
 workload rather than adding threads.
@@ -460,7 +460,6 @@ class ReplicaSpec:
     cache_dir: str
     keys: Dict[int, str]
     reuse_buffers: bool = True
-    num_threads: int = 1
     prewarm_batches: Tuple[int, ...] = ()
     # Shared-memory ring pair to attach (None: pipe codec only).  The
     # generation inside ties every control frame to this spawn's rings.
@@ -501,7 +500,6 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
             graph, plan = loaded
             executor = Executor(graph, plan=plan,
                                 reuse_buffers=spec.reuse_buffers,
-                                num_threads=spec.num_threads,
                                 buffers=buffers)
             executors[batch] = executor
         return executor
@@ -752,12 +750,10 @@ class ReplicaEngine:
     aot_config
         :class:`repro.optim.passes.AOTConfig` for the pre-warmed builds
         (bitwise-safe defaults when None).
-    num_threads
-        Intra-process executor threads per replica (default 1: the tier
-        scales by process, and oversubscribing cores hurts).
     blas_threads
         Value exported to the BLAS thread-count env vars around replica
-        spawn (default 1, same rationale); ``None`` leaves the
+        spawn (default 1: the tier scales by process, and
+        oversubscribing cores hurts); ``None`` leaves the
         environment alone.
     start_method
         ``multiprocessing`` start method (default ``"spawn"``: safe
@@ -815,7 +811,6 @@ class ReplicaEngine:
                  queue_limit: Optional[int] = None,
                  cache_dir=None, aot_config=None,
                  reuse_buffers: bool = True,
-                 num_threads: int = 1,
                  blas_threads: Optional[int] = 1,
                  start_method: str = "spawn",
                  restart_limit: int = 3,
@@ -916,7 +911,6 @@ class ReplicaEngine:
         self._spec_template = ReplicaSpec(
             index=-1, cache_dir=self.cache_dir, keys=keys,
             reuse_buffers=bool(reuse_buffers),
-            num_threads=int(num_threads),
             prewarm_batches=(1, self.max_batch) if self.max_batch > 1
             else (1,))
 
@@ -1219,7 +1213,6 @@ class ReplicaEngine:
             cache_dir=self._spec_template.cache_dir,
             keys=self._spec_template.keys,
             reuse_buffers=self._spec_template.reuse_buffers,
-            num_threads=self._spec_template.num_threads,
             prewarm_batches=self._spec_template.prewarm_batches,
             shm=channel.spec() if channel is not None else None)
         try:

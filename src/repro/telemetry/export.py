@@ -305,7 +305,7 @@ def timeline_to_chrome(timelines: Sequence[Sequence[Mapping[str, object]]],
     """Chrome events from executor step timelines (one list per run).
 
     Each timeline entry is the executor's span dict (``name``/``op``/
-    ``start``/``end``/``thread``/optional ``rows``) with run-relative
+    ``start``/``end``/``thread``) with run-relative
     seconds; ``offsets_s`` places each run on the global time axis
     (defaults to laying runs end to end with a small gap).
     """
@@ -328,7 +328,7 @@ def timeline_to_chrome(timelines: Sequence[Sequence[Mapping[str, object]]],
         for entry in timeline:
             start = offset + float(entry["start"])
             duration = max(0.0, float(entry["end"]) - float(entry["start"]))
-            event = {
+            events.append({
                 "name": str(entry["name"]),
                 "cat": str(entry.get("op", "step")),
                 "ph": "X",
@@ -337,10 +337,7 @@ def timeline_to_chrome(timelines: Sequence[Sequence[Mapping[str, object]]],
                 "ts": start * _SECONDS_TO_US,
                 "dur": duration * _SECONDS_TO_US,
                 "args": {"run": run},
-            }
-            if "rows" in entry:
-                event["args"]["rows"] = list(entry["rows"])
-            events.append(event)
+            })
     return events
 
 
@@ -349,8 +346,8 @@ def traces_to_chrome(traces: Iterable[RequestTrace],
     """Chrome events from finished request traces (span trees).
 
     The serving phases of one request render on a per-request track;
-    per-step execute children render on their worker-thread tracks, so a
-    4-thread run shows kernel spans spread across worker rows.
+    per-step execute children render on the track of the engine worker
+    thread that ran the batch.
 
     Spans carrying a ``process`` name (the replica tier stamps remote
     spans ``replica-<index>``) render in their own Chrome *process*

@@ -147,8 +147,6 @@ class RequestTrace:
                         execute_t0 + float(entry["start"]),
                         execute_t0 + float(entry["end"]),
                         thread=int(entry.get("thread", 0)),
-                        args={"rows": entry["rows"]}
-                        if "rows" in entry else {},
                     ))
             phase.children.extend(self.children.get(span_name, ()))
             root.children.append(phase)

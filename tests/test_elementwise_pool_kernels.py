@@ -663,7 +663,7 @@ class TestQuantizedSteadyState:
         q = quantize_int8(g, feeds)
         reference = Executor(q, plan=compile_plan(q, prepack=False)) \
             .run(feeds[0])
-        executor = Executor(q, reuse_buffers=True, num_threads=1)
+        executor = Executor(q, reuse_buffers=True)
         executor.recycle(executor.run(feeds[0]))
         arena, workspace = executor.plan.arena, executor.plan.workspace
         before = arena.stats.snapshot()

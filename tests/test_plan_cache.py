@@ -18,7 +18,7 @@ from repro.ir import build_model
 from repro.ir.serialization import graph_fingerprint
 from repro.optim import AOTConfig
 from repro.runtime import Executor, PlanCache, default_cache_dir, load_or_build
-from repro.runtime.plan_cache import CACHE_ENV_VAR
+from repro.runtime.plan_cache import CACHE_ENV_VAR, ENTRY_VERSION
 from repro.serving import InferenceEngine
 
 
@@ -153,6 +153,31 @@ class TestLoadStore:
         meta["version"] = 999
         meta_path.write_text(json.dumps(meta))
         assert cache.load(cold.key) is None
+
+    def test_old_entry_version_is_a_miss(self, tmp_path):
+        """A version-5 entry (it carried a threaded executor's step
+        schedule) misses, is rebuilt in place, and runs with the bits of
+        the interpreter."""
+        cache = PlanCache(tmp_path)
+        g = small_graph()
+        feeds = reference_feeds(g)
+        reference = Executor(g).run(feeds)
+        cold = load_or_build(g, cache=cache)
+        meta_path = tmp_path / cold.key / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = 5
+        meta["schedule"] = {"indegree": [0] * len(meta["releases"])}
+        meta_path.write_text(json.dumps(meta))
+        assert cache.load(cold.key) is None
+        rebuilt = load_or_build(g, cache=cache)
+        assert not rebuilt.from_cache and rebuilt.key == cold.key
+        assert json.loads(meta_path.read_text())["version"] == ENTRY_VERSION
+        assert "schedule" not in json.loads(meta_path.read_text())
+        for model in (rebuilt, load_or_build(g, cache=cache)):
+            got = Executor(model.graph, plan=model.plan).run(feeds)
+            for name, value in reference.items():
+                assert got[name].dtype == value.dtype
+                assert got[name].tobytes() == value.tobytes(), name
 
     def test_default_load_memmaps_weights_read_only(self, tmp_path):
         cache = PlanCache(tmp_path)

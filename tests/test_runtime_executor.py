@@ -6,7 +6,8 @@ import pytest
 from repro.ir import build_model
 from repro.ir.graph import Graph
 from repro.ir.tensor import DType, TensorSpec
-from repro.runtime import ExecutionError, Executor, run_graph
+from repro.runtime import ExecutionError, Executor, compile_plan, run_graph
+from repro.runtime.plan import CompiledStep, ExecutionPlan
 
 
 def dense_graph():
@@ -44,6 +45,25 @@ class TestBasicExecution:
         env = executor.run({"x": np.zeros((2, 3), dtype=np.float32)})
         assert "x" in env and "w" in env and "y" in env
 
+    def test_failing_step_raises_execution_error(self):
+        graph = build_model("wide_branch_net", batch=2)
+        plan = compile_plan(graph)
+        victim = len(plan.steps) // 2
+
+        def boom(args, ctx=None):
+            raise RuntimeError("kernel exploded")
+
+        steps = list(plan.steps)
+        steps[victim] = CompiledStep(steps[victim].node, boom,
+                                     steps[victim].release)
+        broken = ExecutionPlan(plan.graph_name, steps, plan.specs,
+                               plan.peak_live_bytes, packs=plan.packs)
+        feeds = {spec.name: np.zeros(spec.shape, dtype=np.float32)
+                 for spec in graph.inputs}
+        with pytest.raises(ExecutionError, match="kernel exploded") as info:
+            Executor(graph, plan=broken).run(feeds)
+        assert steps[victim].node.name in str(info.value)
+
 
 class TestFeedValidation:
     def test_missing_feed(self):
@@ -73,6 +93,15 @@ class TestHooks:
         executor.add_hook(lambda node, outs: seen.append(node.name) or None)
         executor.run({"x": np.zeros((2, 3), dtype=np.float32)})
         assert seen == ["fc"]
+
+    def test_hooks_fire_in_plan_order(self):
+        graph = build_model("wide_branch_net", batch=2)
+        executor = Executor(graph)
+        seen = []
+        executor.add_hook(lambda node, outs: seen.append(node.name))
+        executor.run({spec.name: np.zeros(spec.shape, dtype=np.float32)
+                      for spec in graph.inputs})
+        assert seen == [node.name for node in graph.nodes]
 
     def test_replacement_hook(self):
         executor = Executor(dense_graph())

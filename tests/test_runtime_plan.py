@@ -177,14 +177,11 @@ class TestZooProperties:
         """The scratch-buffer (out=) kernel variants are bitwise-identical
         to the allocating paths, and repeat runs with output recycling
         perform zero arena allocations — the serving engine's steady
-        state.  Pinned to one thread: the zero-allocation guarantee is a
-        property of deterministic in-order release; out-of-order
-        completion can transiently demand more buffers per interleaving
-        (it converges, but not within two runs)."""
+        state."""
         g = zoo_graph(name)
         feeds = reference_feeds(g)
         reference = Executor(g).run(feeds)
-        executor = Executor(g, reuse_buffers=True, num_threads=1)
+        executor = Executor(g, reuse_buffers=True)
 
         first = executor.run(feeds)
         for tensor, value in reference.items():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ir import build_model
-from repro.runtime import Executor
+from repro.runtime import Executor, WorkerPool
 from repro.serving import (
     BatchQueue,
     EngineClosedError,
@@ -402,6 +402,16 @@ def mlp_graph():
 @pytest.fixture(scope="module")
 def mlp_feeds(mlp_graph):
     return sample_feeds(mlp_graph, seed=3)
+
+
+class TestWorkerPool:
+    def test_worker_pool_grows_only(self):
+        pool = WorkerPool(name="test-pool")
+        assert pool.ensure(2) == 2
+        assert pool.ensure(1) == 2
+        done = threading.Event()
+        pool.submit(done.set)
+        assert done.wait(5.0)
 
 
 class TestInferenceEngine:

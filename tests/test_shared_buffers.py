@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ir import build_model
 from repro.optim import binarize, convert_fp16, quantize_int8
 from repro.runtime import (
+    ArenaOwnershipError,
     Executor,
     ScratchArena,
     compile_plan,
@@ -200,6 +201,14 @@ class TestArenaViews:
         for executor in (big, small, big):
             executor.recycle(executor.run(feeds_for(executor.graph, 0)))
         assert buffers.arena.stats.allocations == before
+
+
+class TestArenaOwnership:
+    def test_concurrent_misuse_fails_loudly(self):
+        arena = ScratchArena()
+        arena._active = threading.get_ident() + 1   # a thread mid-call
+        with pytest.raises(ArenaOwnershipError):
+            arena.alloc((4,), np.float32)
 
 
 # -- (2) workspace -------------------------------------------------------------
@@ -403,11 +412,10 @@ class TestEngineMemorySets:
             first, second = engine._workers
             assert first.buffers.arena is not second.buffers.arena
             assert first.buffers.workspace is not second.buffers.workspace
-            # single-owner arenas: the ownership guard was live throughout
-            # (REPRO_NUM_THREADS > 1 swaps it for the executor's lock)
+            # single-owner arenas: every guarded call let go of its
+            # worker's arena, so the next owner may take it
             for worker in engine._workers:
-                assert worker.buffers.arena.is_shared == \
-                    (engine.num_threads > 1)
+                assert worker.buffers.arena._active is None
 
     def test_closed_engine_is_freed_by_refcount(self):
         """The pool thread must not keep its last batch task (and through

@@ -393,7 +393,7 @@ class TestChromeExport:
             {"name": "a", "op": "conv2d", "start": 0.0, "end": 0.01,
              "thread": 10},
             {"name": "b", "op": "dense", "start": 0.01, "end": 0.02,
-             "thread": 20, "rows": (0, 8)},
+             "thread": 20},
         ]
         events = timeline_to_chrome([timeline, timeline])
         complete = validate_chrome_trace({"traceEvents": events})
@@ -491,7 +491,7 @@ class TestServingIntegration:
         from repro.serving.bench import sample_feeds
 
         graph = build_model("mlp")
-        executor = Executor(graph, num_threads=1)
+        executor = Executor(graph)
         executor.record_timeline = True
         executor.run(sample_feeds(graph))
         timeline = executor.last_timeline
